@@ -500,9 +500,11 @@ type codecConn struct{ bytes.Buffer }
 
 func (*codecConn) Close() error { return nil }
 
-// codecPerf measures the v3 wire codec in isolation on one superstep's
-// representative traffic: a partials batch up and a state-refresh batch
-// down. MBPerSec is frame bytes pushed through the codec per second (each
+// codecPerf measures the wire codec in isolation on one superstep's
+// representative traffic, through the path workers run: a partials batch
+// and a state-refresh batch, each encoded record by record into a batch
+// builder, framed, read back raw and decoded record by record into reused
+// scratch. MBPerSec is frame bytes pushed through the codec per second (each
 // byte encoded once and decoded once); the allocation columns are the
 // steady-state per-iteration deltas — where a codec regression (a dropped
 // scratch reuse, per-record boxing creeping back) shows first. CrossBytes
@@ -527,36 +529,56 @@ func codecPerf(w io.Writer) (eval.PerfRow, error) {
 		}
 		partials[i] = p
 	}
-	states := make([]wire.VertexState, nStates)
+	states := make([]core.VData, nStates) // state i is vertex i's
 	for i := range states {
-		s := wire.VertexState{V: graph.VertexID(i)}
+		d := &states[i]
 		for j := 0; j < 6; j++ {
-			s.Data.Nbrs = append(s.Data.Nbrs, graph.VertexID((i*3+j*7)%idSpace))
-			s.Data.Sims = append(s.Data.Sims, core.VertexSim{V: graph.VertexID((i*13 + j) % idSpace), Sim: 1 / float64(j+2)})
+			d.Nbrs = append(d.Nbrs, graph.VertexID((i*3+j*7)%idSpace))
+			d.Sims = append(d.Sims, core.VertexSim{V: graph.VertexID((i*13 + j) % idSpace), Sim: 1 / float64(j+2)})
 		}
 		for j := 0; j < 3; j++ {
-			s.Data.TwoHop = append(s.Data.TwoHop, core.PathCand{Z: graph.VertexID((i*19 + j) % idSpace), S: float64(j) * 0.5})
-			s.Data.Pred = append(s.Data.Pred, core.Prediction{Vertex: graph.VertexID((i*23 + j) % idSpace), Score: float64(i%29) * 0.25})
+			d.TwoHop = append(d.TwoHop, core.PathCand{Z: graph.VertexID((i*19 + j) % idSpace), S: float64(j) * 0.5})
+			d.Pred = append(d.Pred, core.Prediction{Vertex: graph.VertexID((i*23 + j) % idSpace), Score: float64(i%29) * 0.25})
 		}
-		states[i] = s
 	}
-	msgs := []*wire.Msg{
-		{Kind: wire.KindPartials, Step: core.DistCombine, Partials: partials},
-		{Kind: wire.KindRefresh, Step: core.DistRelays, States: states, Final: true},
-	}
+	const nMsgs = 2
 	c := wire.NewConn(&codecConn{})
+	var bb wire.BatchBuilder
+	var dp core.DistPartial
+	var d core.VData
 	iter := func() error {
-		for _, m := range msgs {
-			if err := c.Send(m); err != nil {
-				return err
-			}
+		bb.Reset()
+		for i := range partials {
+			bb.AppendPartial(&partials[i])
 		}
-		for range msgs {
-			if _, err := c.Recv(); err != nil {
-				return err
-			}
+		if err := c.SendRaw(wire.KindPartials, core.DistCombine, false, bb.Payload()); err != nil {
+			return err
 		}
-		return nil
+		bb.Reset()
+		for i := range states {
+			bb.AppendState(graph.VertexID(i), &states[i])
+		}
+		if err := c.SendRaw(wire.KindRefresh, core.DistRelays, true, bb.Payload()); err != nil {
+			return err
+		}
+		f, err := c.RecvRaw()
+		if err != nil {
+			return err
+		}
+		err = wire.ForEachPartialRecord(f.Payload, func(_ graph.VertexID, rec []byte) error {
+			dp.Nbrs, dp.Sims, dp.Cands = dp.Nbrs[:0], dp.Sims[:0], dp.Cands[:0]
+			return wire.DecodePartialRecordInto(rec, &dp)
+		})
+		if err != nil {
+			return err
+		}
+		if f, err = c.RecvRaw(); err != nil {
+			return err
+		}
+		return wire.ForEachStateRecord(f.Payload, func(_ graph.VertexID, rec []byte) error {
+			_, err := wire.DecodeStateRecordInto(rec, &d)
+			return err
+		})
 	}
 	// Warm-up puts the connection's reusable buffers at steady-state size and
 	// records the deterministic wire footprint of the mix.
@@ -596,7 +618,7 @@ func codecPerf(w io.Writer) (eval.PerfRow, error) {
 		AllocBytes:   int64(m1.TotalAlloc - m0.TotalAlloc),
 		AllocObjects: int64(m1.Mallocs - m0.Mallocs),
 		CrossBytes:   bytesPerIter,
-		CrossMsgs:    int64(len(msgs)),
+		CrossMsgs:    nMsgs,
 	}
 	fmt.Fprintf(w, "wire-codec: %.1f MB/s encode+decode, %.1f KiB frames/iter, %.1f KiB / %d objects allocated per iter\n",
 		row.MBPerSec, float64(bytesPerIter)/(1<<10),

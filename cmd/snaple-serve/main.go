@@ -147,19 +147,6 @@ type serveArgs struct {
 	verify       bool
 }
 
-// heapCSR unwraps v to the compact heap-shaped CSR the fleet and mutable
-// paths require: pass-through for plain CSRs (mmap'd included), a one-time
-// decode for packed-adjacency views.
-func heapCSR(v snaple.GraphView) (*graph.Digraph, error) {
-	if g, ok := graph.AsCSR(v); ok {
-		return g, nil
-	}
-	if p, ok := v.(*graph.Packed); ok {
-		return p.Decode()
-	}
-	return nil, fmt.Errorf("cannot materialise %s as a CSR", v)
-}
-
 func run(a serveArgs) error {
 	if a.in == "" {
 		return fmt.Errorf("need -in FILE (tip: pack big edge lists once with `snaple pack`)")
@@ -217,7 +204,7 @@ func run(a serveArgs) error {
 		if a.addrs != "" {
 			fleetAddrs = strings.Split(a.addrs, ",")
 		}
-		csr, err := heapCSR(g)
+		csr, err := engine.Freeze(g)
 		if err != nil {
 			return err
 		}
@@ -256,7 +243,7 @@ func run(a serveArgs) error {
 	if a.mutable {
 		// Live graphs mutate over a compact CSR base: decode a packed view
 		// once up front rather than erroring deeper in serve.New.
-		csr, err := heapCSR(g)
+		csr, err := engine.Freeze(g)
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,8 @@
 // Command snaple-worker serves SNAPLE partitions over TCP for the dist
 // execution backend: a coordinator (snaple -engine dist, or any program
-// using snaple.Predict with Engine "dist") vertex-cuts the graph, ships one
-// partition to each worker, and drives Algorithm 2's supersteps through the
-// internal/wire protocol. Workers hold only their partition — the full graph
+// using snaple.Predict with Engine "dist") vertex-cuts the graph, hands one
+// shard to each worker, and drives Algorithm 2's supersteps through the
+// internal/wire protocol. Workers hold only their shard — the full graph
 // never has to fit on one machine.
 //
 // Usage:
@@ -13,13 +13,14 @@
 //
 // The first stdout line announces the bound address as "listening <addr>",
 // which is how spawning coordinators and the CI cluster-smoke script learn
-// ephemeral ports. Without -shard, jobs are served sequentially, one TCP
-// connection each, and every job ships its partition. With -shard the worker
-// loads one partition packed by `snaple pack -shards` at startup and stays
-// resident: coordinators attach with a fingerprint handshake instead of
-// shipping, connections are served concurrently so several front-ends can
-// share the worker, and an attach for a different pack is refused. Either
-// way the worker keeps serving until killed (SIGINT/SIGTERM exit cleanly).
+// ephemeral ports. Every job attaches to a shard by fingerprint. Without
+// -shard, each connection first receives its shard from the coordinator and
+// holds it for the connection's life. With -shard the worker loads one
+// partition packed by `snaple pack -shards` at startup and stays resident:
+// coordinators attach without shipping, and a ship or attach for a
+// different pack is refused. Connections are served concurrently, so
+// several coordinators can share the worker, and it keeps serving until
+// killed (SIGINT/SIGTERM exit cleanly).
 package main
 
 import (
@@ -37,18 +38,13 @@ import (
 
 func main() {
 	var (
-		listen   = flag.String("listen", "127.0.0.1:0", "address to listen on ('host:0' picks an ephemeral port)")
-		quiet    = flag.Bool("quiet", false, "suppress per-session logging on stderr")
-		maxProto = flag.Int("max-proto", wire.ProtocolV3, "highest wire protocol to accept: 3 (binary frames, default) or 2 (legacy gob only — emulates an old worker)")
-		shard    = flag.String("shard", "", "stay resident for this packed shard file (written by `snaple pack -shards`); coordinators attach by fingerprint instead of shipping partitions")
+		listen = flag.String("listen", "127.0.0.1:0", "address to listen on ('host:0' picks an ephemeral port)")
+		quiet  = flag.Bool("quiet", false, "suppress per-session logging on stderr")
+		shard  = flag.String("shard", "", "stay resident for this packed shard file (written by `snaple pack -shards`); coordinators attach by fingerprint instead of shipping partitions")
 	)
 	flag.Parse()
 
-	if *maxProto != wire.ProtocolV2 && *maxProto != wire.ProtocolV3 {
-		fmt.Fprintf(os.Stderr, "snaple-worker: -max-proto must be %d or %d\n", wire.ProtocolV2, wire.ProtocolV3)
-		os.Exit(1)
-	}
-	if err := run(*listen, *quiet, *maxProto, *shard); err != nil {
+	if err := run(*listen, *quiet, *shard); err != nil {
 		fmt.Fprintln(os.Stderr, "snaple-worker:", err)
 		os.Exit(1)
 	}
@@ -65,7 +61,7 @@ func loadShard(path string) (*wire.ResidentShard, bool, error) {
 	return wire.ResidentFromShard(sf), mapped, nil
 }
 
-func run(listen string, quiet bool, maxProto int, shard string) error {
+func run(listen string, quiet bool, shard string) error {
 	var resident *wire.ResidentShard
 	var shardMapped bool
 	if shard != "" {
@@ -79,7 +75,7 @@ func run(listen string, quiet bool, maxProto int, shard string) error {
 		return err
 	}
 	// The announcement contract: exactly "listening <addr>" as the first
-	// stdout line (engine.Dist's spawner and scripts/cluster_smoke.sh parse
+	// stdout line (engine.SpawnWorkers and scripts/cluster_smoke.sh parse
 	// it).
 	fmt.Printf("listening %s\n", l.Addr())
 
@@ -103,5 +99,5 @@ func run(listen string, quiet bool, maxProto int, shard string) error {
 		<-sig
 		l.Close() // Serve returns nil on a closed listener
 	}()
-	return wire.ServeWith(l, logf, wire.ServeOptions{MaxProto: maxProto, Resident: resident})
+	return wire.ServeWith(l, logf, wire.ServeOptions{Resident: resident})
 }

@@ -123,12 +123,16 @@ type bstep3 struct{ k int }
 // Direction implements gas.Program.
 func (bstep3) Direction() gas.Direction { return gas.Out }
 
-// Gather forwards the neighbour's stored (z, Γ(z)) map to u.
+// Gather forwards the neighbour's stored (z, Γ(z)) map to u. The slice is
+// returned with its capacity clipped: Sum may append to its first operand,
+// and an append into spare capacity would write into the neighbour's stored
+// data, which other gathers read concurrently. (Every other Gather in this
+// package returns a freshly allocated slice.)
 func (bstep3) Gather(_, _ graph.VertexID, _, dstD *bdata, _ *struct{}) ([]nbrList, bool) {
 	if len(dstD.Two) == 0 {
 		return nil, false
 	}
-	return dstD.Two, true
+	return dstD.Two[:len(dstD.Two):len(dstD.Two)], true
 }
 
 // Sum implements gas.Program. Duplicated candidates (z reachable through

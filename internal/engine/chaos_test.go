@@ -25,8 +25,8 @@ import (
 // chaosPool serves n in-process loopback workers whose FIRST session runs
 // over a fault-injecting transport scripted by events(worker); later
 // sessions are served clean, so a test can assert that a worker survives
-// its faulted session and serves the next job. Like a real snaple-worker,
-// each listener serves sessions sequentially.
+// its faulted session and serves the next job. Each listener serves its
+// sessions sequentially, so a later session waits out a faulted one.
 func chaosPool(t *testing.T, n int, events func(worker int) []wire.ChaosEvent) []string {
 	t.Helper()
 	addrs := make([]string, n)
@@ -297,8 +297,8 @@ func TestDistCancelMidSuperstep(t *testing.T) {
 
 	// The workers saw their sessions die, not their processes: the same
 	// fleet must serve the next (healthy) job. The pool serves sessions
-	// sequentially like a real worker, so this also waits out worker 0's
-	// stalled first session ending.
+	// sequentially, so this also waits out worker 0's stalled first session
+	// ending.
 	want, err := core.ReferenceSnaple(g, cfg)
 	if err != nil {
 		t.Fatal(err)

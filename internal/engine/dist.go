@@ -23,20 +23,18 @@ import (
 
 // Dist runs Algorithm 2 across real worker processes connected over TCP —
 // the scale-out half of the paper, with an actual network where the sim
-// backend has a cost model. The coordinator (this type) vertex-cuts the
-// graph with internal/partition, ships one partition to each worker
-// (cmd/snaple-worker speaking the internal/wire protocol), then drives the
-// same GAS supersteps the sim backend runs: workers gather locally, partials
-// for remotely-mastered vertices are routed through the coordinator to the
+// backend has a cost model. It is a Fleet opened for one call: each Predict
+// freezes the view into a CSR, resolves its workers, opens a fleet over
+// them (the fleet vertex-cuts the graph and hands each worker its shard),
+// runs the query and closes the fleet. Workers gather locally, partials for
+// remotely-mastered vertices are routed through the coordinator to the
 // master's worker, masters apply, and refreshed state is routed back to the
-// mirror copies. Per-worker top-k predictions are merged at the end — each
-// vertex has exactly one master, and every fold along the way is
-// order-independent, so the result is bit-identical to Serial, Local and Sim
-// for any worker count.
+// mirror copies. Every fold along the way is order-independent, so the
+// result is bit-identical to Serial, Local and Sim for any worker count.
 //
 // Stats.CrossBytes and Stats.CrossMsgs are measured on the wire (all
-// coordinator↔worker traffic after the initial partition shipping, which —
-// like the sim backend's graph load — the paper's timings exclude), not
+// coordinator↔worker traffic after the attach; shipping the shards, like
+// the sim backend's graph load, is setup the paper's timings exclude), not
 // simulated.
 //
 // Three ways to get workers, in priority order:
@@ -44,7 +42,7 @@ import (
 //   - Addrs: connect to already-running snaple-worker processes (a real
 //     cluster, or the CI cluster-smoke script's loopback fleet);
 //   - Spawn: fork N snaple-worker processes on loopback and tear them down
-//     with the run (requires the binary, see WorkerBin);
+//     with the call (requires the binary, see WorkerBin);
 //   - otherwise InProc in-process loopback workers (still real TCP and real
 //     wire frames through the kernel, just not a separate OS process) — the
 //     zero-config default used by engine.New, Predict and the equivalence
@@ -54,7 +52,7 @@ type Dist struct {
 	// over Spawn/InProc.
 	Addrs []string
 	// Spawn forks this many snaple-worker processes on loopback for the
-	// duration of the run.
+	// duration of the call.
 	Spawn int
 	// WorkerBin locates the worker binary for Spawn (default: "snaple-worker"
 	// resolved through PATH).
@@ -67,13 +65,13 @@ type Dist struct {
 	Strategy partition.Strategy
 	// Seed drives partitioning and master election.
 	Seed uint64
-	// Replicas ships each partition to this many workers (0 or 1 = no
-	// replication). With R > 1 the available workers divide into
-	// avail/R groups of R replicas each; every replica receives identical
-	// traffic and computes identically, so when a worker dies the run fails
-	// over to a surviving replica and completes with bit-identical results.
-	// Only when all R replicas of a partition are gone does the run fail,
-	// with ErrPartitionLost. Values above the worker count are clamped.
+	// Replicas serves each partition from this many workers (0 or 1 = no
+	// replication). With R > 1 the available workers divide into avail/R
+	// groups of R replicas each; every replica receives identical traffic
+	// and computes identically, so when a worker dies the run fails over to
+	// a surviving replica and completes with bit-identical results. Only
+	// when all R replicas of a partition are gone does the run fail, with
+	// ErrPartitionLost. Values above the worker count are clamped.
 	Replicas int
 	// StepTimeout bounds each superstep (and the final collect) per run: a
 	// wedged worker or a blackholed connection is then declared dead at the
@@ -88,12 +86,8 @@ type Dist struct {
 	// DialBackoff is the initial retry backoff, doubled after each failed
 	// attempt with jitter (0 = 150ms).
 	DialBackoff time.Duration
-	// Proto pins the wire protocol: 0 negotiates (v3 preferred, per-worker
-	// gob fallback for legacy binaries), wire.ProtocolV2 forces gob,
-	// wire.ProtocolV3 requires v3 and fails on a legacy worker.
-	Proto int
-	// Compress requests per-frame flate compression on v3 connections
-	// (subject to each worker granting it) — a cross-rack bandwidth trade.
+	// Compress requests per-frame flate compression (subject to each worker
+	// granting it) — a cross-rack bandwidth trade.
 	Compress bool
 
 	// hookStep, when set (chaos tests only), runs before each superstep
@@ -102,74 +96,43 @@ type Dist struct {
 	hookStep func(si int, r *distRun)
 }
 
-// routeChunkBytes is the coordinator's flush threshold while routing v3
+// routeChunkBytes is the coordinator's flush threshold while routing
 // records: the same fixed chunk size workers stream partials up in.
 const routeChunkBytes = 64 << 10
 
-// distMode is the resolved connection mode; mode() is the single source of
-// the Addrs > Spawn > InProc priority and the in-proc default, consulted by
-// both workerCount and connect so the two can never drift.
-type distMode int
-
-const (
-	modeAddrs distMode = iota
-	modeSpawn
-	modeInProc
-)
-
-// mode resolves the connection mode and its worker count.
-func (d Dist) mode() (distMode, int) {
-	switch {
-	case len(d.Addrs) > 0:
-		return modeAddrs, len(d.Addrs)
-	case d.Spawn > 0:
-		return modeSpawn, d.Spawn
-	default:
-		n := d.InProc
-		if n <= 0 {
-			n = 2
-		}
-		return modeInProc, n
-	}
-}
-
-// shipTimeout bounds the ship/ready handshake per worker. Generous — a big
-// subgraph legitimately takes a while to encode and load — but finite: a
-// worker that is busy with another coordinator's session will never answer
-// at all, and that must surface as an error, not a hang.
+// shipTimeout bounds the ship/ready and attach/ready handshakes per worker.
+// Generous — a big shard legitimately takes a while to encode and load —
+// but finite: a wedged worker must surface as an error, not a hang.
 const shipTimeout = 2 * time.Minute
 
 // Name implements Backend.
 func (Dist) Name() string { return "dist" }
 
-// workerCount resolves how many workers the run will use.
+// workerCount resolves how many workers the call will use, in the
+// Addrs > Spawn > InProc priority order.
 func (d Dist) workerCount() int {
-	_, n := d.mode()
-	return n
+	switch {
+	case len(d.Addrs) > 0:
+		return len(d.Addrs)
+	case d.Spawn > 0:
+		return d.Spawn
+	case d.InProc > 0:
+		return d.InProc
+	default:
+		return 2
+	}
 }
 
-// stepTimeout resolves the per-superstep bound (0 = unbounded).
-func (d Dist) stepTimeout() time.Duration {
+// stepTimeout resolves a per-superstep bound (0 = unbounded).
+func stepTimeout(d time.Duration) time.Duration {
 	switch {
-	case d.StepTimeout < 0:
+	case d < 0:
 		return 0
-	case d.StepTimeout == 0:
+	case d == 0:
 		return 10 * time.Minute
 	default:
-		return d.StepTimeout
+		return d
 	}
-}
-
-// replicaCount resolves the replica factor against the available workers.
-func (d Dist) replicaCount(avail int) int {
-	r := d.Replicas
-	if r <= 0 {
-		r = 1
-	}
-	if r > avail {
-		r = avail
-	}
-	return r
 }
 
 // Predict implements Backend.
@@ -179,217 +142,79 @@ func (d Dist) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, e
 
 // PredictCtx implements ContextBackend: Predict under a context. Cancelling
 // ctx closes every worker connection, so whatever exchange is in flight
-// fails promptly and the call returns ctx.Err() — the resident workers see
-// their session end and stay reusable for the next job.
+// fails promptly and the call returns ctx.Err() — the workers see their
+// session end and stay reusable for the next job.
 func (d Dist) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	avail := d.workerCount()
-	reps := d.replicaCount(avail)
-	st := Stats{Engine: "dist", Workers: avail, Replicas: reps}
+	st := Stats{Engine: "dist"}
+	// Validate before any worker is contacted: a bad config or an
+	// unshippable score fails here, identically for every deployment.
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, st, err
 	}
-	job, err := wire.JobFromConfig(cfg)
+	if _, err := wire.JobFromConfig(cfg); err != nil {
+		return nil, st, err
+	}
+	csr, err := Freeze(g)
 	if err != nil {
 		return nil, st, err
 	}
-
-	// Query scope: the coordinator computes the frontier closure once, then
-	// ships only the partitions that hold at least one closure edge —
-	// everything any superstep's gather can touch — plus per-local scope
-	// masks so workers gate their gathers without ever seeing the closure.
-	frontier, err := core.NewFrontier(g, cfg)
-	if err != nil {
-		return nil, st, err
+	avail := d.workerCount()
+	reps := min(max(d.Replicas, 1), avail)
+	o := FleetOptions{
+		Addrs: d.Addrs, InProc: avail / reps, Replicas: reps,
+		Strategy: d.Strategy, Seed: d.Seed, StepTimeout: d.StepTimeout,
+		DialAttempts: d.DialAttempts, DialBackoff: d.DialBackoff, Compress: d.Compress,
 	}
-	st.FrontierVertices = frontier.Size()
-	st.ScoredVertices = g.NumVertices()
-	if frontier != nil {
-		st.ScoredVertices = frontier.Pred.Len()
+	var spawnRetries int
+	if len(d.Addrs) == 0 && d.Spawn > 0 {
+		addrs, stop, retries, err := SpawnWorkers(d.WorkerBin, avail/reps*reps, d.DialAttempts, d.DialBackoff)
+		if err != nil {
+			st.DialRetries = retries
+			return nil, st, fmt.Errorf("engine: dist: %w", err)
+		}
+		defer stop()
+		o.Addrs, spawnRetries = addrs, retries
 	}
-
-	// R replicas per partition means avail/R partitions: capacity pays for
-	// availability, the trade named in the paper's scale-out story.
-	dep, err := d.deploy(g, avail/reps, frontier)
-	if err != nil {
-		return nil, st, err
-	}
-	st.ReplicationFactor = dep.replicationFactor()
-	if len(dep.parts) == 0 {
-		// Scoped run whose closure touches no edge anywhere (isolated
-		// sources): nothing to ship and nothing to compute.
-		return make(core.Predictions, g.NumVertices()), st, nil
-	}
-	need := len(dep.parts) * reps
-	st.Workers = need
-
-	// With replication a worker that never connects is a degraded start,
-	// not a failed run: it is recorded dead and its group's survivors carry
-	// the partition.
-	conns, dialErrs, inproc, cleanup, retries, err := d.connect(need, reps > 1)
-	st.DialRetries = retries
+	f, err := OpenFleet(csr, o)
 	if err != nil {
 		return nil, st, fmt.Errorf("engine: dist: %w", err)
 	}
-	defer cleanup()
-
-	// The run state (and its router) exists before the ship so the routing
-	// chunk buffers are paid for during setup, not inside the measured
-	// supersteps.
-	run := newDistRun(dep, conns, reps, d.stepTimeout())
-	for i, derr := range dialErrs {
-		if derr != nil {
-			run.markDead(i, derr)
-		}
-	}
-	fail := func(err error) (core.Predictions, Stats, error) {
-		st.WorkersDead = run.deadCount()
-		st.Failovers = run.failoverCount()
-		if ce := ctx.Err(); ce != nil {
-			// The deaths were self-inflicted: cancellation closed the
-			// connections. The caller asked for this outcome — report it as
-			// theirs, not as a fleet failure.
-			err = ce
-		}
-		return nil, st, err
-	}
-
-	// Cancellation watcher: closing every connection makes whatever
-	// exchange is in flight fail within one read/write, which drains the
-	// run through its normal failure paths.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			run.closeAll()
-		case <-watchDone:
-		}
-	}()
-
-	// Ship the partitions (the distributed graph load, untimed like every
-	// other backend's setup) and wait for the acknowledgements. The
-	// handshake runs under a deadline: a worker busy with another session
-	// never reads the ship, and without the bound that is a silent hang,
-	// not an error (workers serve one session at a time).
-	run.beginAttempt()
-	if err := run.lostErr("connect"); err != nil {
-		return fail(err)
-	}
-	if err := run.ship(job); err != nil {
-		return fail(fmt.Errorf("engine: dist ship: %w", err))
-	}
-	if err := run.lostErr("ship"); err != nil {
-		return fail(err)
-	}
-
-	// Everything from here on is the prediction itself: timed, and its
-	// traffic is the measured cross-worker cost.
-	base := make([]wire.Counters, len(conns))
-	for i, c := range conns {
-		if c != nil {
-			base[i] = c.Counters()
-		}
-	}
-	start := time.Now()
-
-	// A scoped superstep with no relevant gather edge on any kept partition
-	// is skipped entirely — no messages, no barrier (see
-	// deployment.stepHasWork). The final flag moves to the last superstep
-	// that actually runs, so its refresh round is elided like a full run's.
-	steps := make([]core.DistStep, 0, 4)
-	for _, step := range core.DistSteps(cfg.Paths) {
-		if dep.stepHasWork(step) {
-			steps = append(steps, step)
-		}
-	}
-	// Each iteration is one attempt at one superstep. A death mid-attempt
-	// aborts nothing visible: the attempt still completes its full exchange
-	// with the survivors, then the same step is re-issued to them from the
-	// top (see distRun.runStep for why the re-run is bit-identical). Every
-	// restart consumes a death, so the loop is bounded by the worker count.
-	for si := 0; si < len(steps); {
-		step := steps[si]
-		final := si == len(steps)-1
-		if d.hookStep != nil {
-			d.hookStep(si, run)
-		}
-		run.beginAttempt()
-		run.runStep(step, final)
-		if run.sawDeath() {
-			if err := run.lostErr(fmt.Sprintf("%v", step)); err != nil {
-				return fail(err)
-			}
-			continue
-		}
-		si++
-	}
-
-	// Collect: each partition's serving replica reports its masters' top-k,
-	// failing over to standbys — the merge needs no further folding because
-	// masters are disjoint across partitions.
-	results, err := run.collect()
-	if err != nil {
-		return fail(err)
-	}
-	pred := make(core.Predictions, g.NumVertices())
-	for p := range results {
-		res := &results[p]
-		for _, vp := range res.Preds {
-			pred[vp.V] = vp.Preds
-		}
-		if inproc {
-			// Loopback workers share this process, so each worker's MemStats
-			// delta already covers everyone (coordinator included): summing
-			// would count the same heap N times. The max is the closest
-			// honest process-wide figure.
-			st.AllocBytes = max(st.AllocBytes, res.Stats.AllocBytes)
-			st.AllocObjects = max(st.AllocObjects, res.Stats.AllocObjects)
-		} else {
-			st.AllocBytes += res.Stats.AllocBytes
-			st.AllocObjects += res.Stats.AllocObjects
-		}
-		if res.Stats.HeapBytes > st.MemPeakBytes {
-			st.MemPeakBytes = res.Stats.HeapBytes
-		}
-	}
-
-	st.WallSeconds = time.Since(start).Seconds()
-	if st.WallSeconds > 0 {
-		st.EdgesPerSec = float64(g.NumEdges()) / st.WallSeconds
-	}
-	for i, c := range conns {
-		if c == nil {
-			continue
-		}
-		delta := c.Counters().Sub(base[i])
-		st.CrossBytes += delta.BytesIn + delta.BytesOut
-		st.CrossMsgs += delta.MsgsIn + delta.MsgsOut
-	}
-	st.WorkersDead = run.deadCount()
-	st.Failovers = run.failoverCount()
-	return pred, st, nil
+	defer f.Close()
+	f.hookStep = d.hookStep
+	pred, st, err := f.PredictCtx(ctx, csr, cfg)
+	st.Engine = "dist"
+	st.DialRetries = spawnRetries + f.Stats().DialRetries
+	return pred, st, err
 }
 
-// deployment is the coordinator's routing state: the shippable partition
-// payloads plus, per global vertex, the partition mastering it and the
-// partitions holding its mirror copies. On a query-scoped run only the
-// partitions intersecting the frontier closure exist here — the rest of the
-// vertex-cut is never shipped.
+// Freeze returns the frozen CSR behind a view: the CSR itself, a delta
+// overlay folded with Materialize, or packed adjacency decoded once. A fleet
+// cuts its shards from a CSR, so every per-call distributed run starts here.
+func Freeze(g graph.View) (*graph.Digraph, error) {
+	if csr, ok := graph.AsCSR(g); ok {
+		return csr, nil
+	}
+	switch v := g.(type) {
+	case *graph.Delta:
+		return v.Materialize(), nil
+	case *graph.Packed:
+		return v.Decode()
+	}
+	return nil, fmt.Errorf("engine: cannot freeze a %T view into a CSR", g)
+}
+
+// deployment is the coordinator's routing state: per global vertex, the
+// partition mastering it and the partitions holding its mirror copies —
+// plus, as deploy computes them, the partition payloads. On a query-scoped
+// run (Fleet.route) partitions are numbered densely over the shards the
+// frontier closure touches, and parts stays nil.
 type deployment struct {
 	parts      []wire.Partition
 	masterPart []int32   // per vertex; -1 when the vertex has no edges
 	mirrors    [][]int32 // per vertex: replica partitions excluding the master
 	replicas   int       // total replica count
 	present    int       // vertices with at least one replica
-	frontier   *core.Frontier
-	// stepEdges counts, per superstep, the gather edges inside the step's
-	// frontier set across all kept partitions (scoped runs only): a step
-	// with zero is skipped outright.
-	stepEdges map[core.DistStep]int
 }
 
 func (d *deployment) replicationFactor() float64 {
@@ -399,24 +224,9 @@ func (d *deployment) replicationFactor() float64 {
 	return float64(d.replicas) / float64(d.present)
 }
 
-// stepHasWork reports whether any kept partition gathers anything in step.
-// Always true on a full run.
-func (d *deployment) stepHasWork(step core.DistStep) bool {
-	return d.frontier == nil || d.stepEdges[step] > 0
-}
-
-// deploy vertex-cuts g into one partition per worker and elects masters the
-// same deterministic way gas.Distribute does. On a query-scoped run
-// (frontier non-nil) partitions holding no closure edge are dropped before
-// shipping, the survivors renumbered densely, and each kept partition
-// carries its locals' scope masks; election then runs over the surviving
-// replicas — placement never changes results, so the scoped predictions
-// still match the full run's bit for bit.
-func (d Dist) deploy(g graph.View, nw int, frontier *core.Frontier) (*deployment, error) {
-	strat := d.Strategy
-	if strat == nil {
-		strat = partition.HashEdge{Seed: d.Seed}
-	}
+// deploy vertex-cuts g into nw partitions and elects masters the same
+// deterministic way gas.Distribute does.
+func deploy(g graph.View, strat partition.Strategy, seed uint64, nw int) (*deployment, error) {
 	assign, err := strat.Partition(g, nw)
 	if err != nil {
 		return nil, err
@@ -432,29 +242,11 @@ func (d Dist) deploy(g graph.View, nw int, frontier *core.Frontier) (*deployment
 			i++
 		})
 	}
-	if frontier != nil {
-		// An edge matters to some superstep iff its source is in the
-		// truncation closure (the largest set); a partition with none can
-		// never contribute a byte to the sources' predictions.
-		kept := rawEdges[:0]
-		for _, edges := range rawEdges {
-			for _, e := range edges {
-				if frontier.InTrunc(e.u) {
-					kept = append(kept, edges)
-					break
-				}
-			}
-		}
-		rawEdges = kept
-		nw = len(rawEdges)
-	}
 
 	dep := &deployment{
 		parts:      make([]wire.Partition, nw),
 		masterPart: make([]int32, g.NumVertices()),
 		mirrors:    make([][]int32, g.NumVertices()),
-		frontier:   frontier,
-		stepEdges:  make(map[core.DistStep]int),
 	}
 	for v := range dep.masterPart {
 		dep.masterPart[v] = -1
@@ -491,23 +283,6 @@ func (d Dist) deploy(g graph.View, nw int, frontier *core.Frontier) (*deployment
 			IsMaster:  make([]bool, len(locals)),
 			HasRemote: make([]bool, len(locals)),
 		}
-		if frontier != nil {
-			scope := make([]uint8, len(locals))
-			for i, v := range locals {
-				scope[i] = frontier.ScopeMask(v)
-			}
-			dep.parts[p].Scope = scope
-			allSteps := []core.DistStep{core.DistTruncate, core.DistRelays,
-				core.DistCombine, core.DistTwoHop, core.DistCombine3}
-			for _, e := range rawEdges[p] {
-				mask := scope[idx[e.u]]
-				for _, step := range allSteps {
-					if mask&step.ScopeBit() != 0 {
-						dep.stepEdges[step]++
-					}
-				}
-			}
-		}
 	}
 
 	// Master election among each vertex's replicas, in ascending partition
@@ -536,7 +311,7 @@ func (d Dist) deploy(g graph.View, nw int, frontier *core.Frontier) (*deployment
 		}
 		v := pairs[i].v
 		replicas := pairs[i:j]
-		mp := replicas[randx.Uint64n(uint64(len(replicas)), d.Seed, uint64(v), 0xA5)].p
+		mp := replicas[randx.Uint64n(uint64(len(replicas)), seed, uint64(v), 0xA5)].p
 		dep.masterPart[v] = mp
 		mi := index[mp][v]
 		dep.parts[mp].IsMaster[mi] = true
@@ -557,26 +332,10 @@ func (d Dist) deploy(g graph.View, nw int, frontier *core.Frontier) (*deployment
 	return dep, nil
 }
 
-// dialAttempts resolves the per-worker connection attempt bound.
-func (d Dist) dialAttempts() int {
-	if d.DialAttempts > 0 {
-		return d.DialAttempts
-	}
-	return 3
-}
-
-// dialBackoffBase resolves the initial retry backoff.
-func (d Dist) dialBackoffBase() time.Duration {
-	if d.DialBackoff > 0 {
-		return d.DialBackoff
-	}
-	return 150 * time.Millisecond
-}
-
 // retryableDial reports whether a connect failure is worth another attempt:
 // network-layer trouble (timeouts, refusals, resets) and torn connections
-// are transient; a peer's deliberate rejection — a typed error frame, a
-// protocol pin against a legacy worker — is deterministic and never is.
+// are transient; a peer's deliberate rejection — a typed error frame — is
+// deterministic and never is.
 func retryableDial(err error) bool {
 	if wire.IsRemoteError(err) {
 		return false
@@ -585,15 +344,19 @@ func retryableDial(err error) bool {
 	return errors.As(err, &ne) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// withRetry runs attempt up to dialAttempts times with exponential backoff
-// and jitter between tries (the jitter keeps a fleet-wide reconnect from
-// stampeding one worker). always retries every failure — for spawn, where
-// each attempt forks a fresh process and any failure is worth a retry;
-// otherwise only retryableDial failures are retried. Returns how many
-// retries ran and the final error.
-func (d Dist) withRetry(always bool, attempt func() error) (retries int, err error) {
-	backoff := d.dialBackoffBase()
-	attempts := d.dialAttempts()
+// withRetry runs attempt up to attempts times (0 = 3) with exponential
+// backoff from backoff (0 = 150ms) and jitter between tries (the jitter
+// keeps a fleet-wide reconnect from stampeding one worker). always retries
+// every failure — for spawn, where each attempt forks a fresh process and
+// any failure is worth a retry; otherwise only retryableDial failures are
+// retried. Returns how many retries ran and the final error.
+func withRetry(attempts int, backoff time.Duration, always bool, attempt func() error) (retries int, err error) {
+	if attempts <= 0 {
+		attempts = 3
+	}
+	if backoff <= 0 {
+		backoff = 150 * time.Millisecond
+	}
 	for i := 0; ; i++ {
 		err = attempt()
 		if err == nil || i+1 >= attempts || (!always && !retryableDial(err)) {
@@ -609,125 +372,43 @@ func (d Dist) withRetry(always bool, attempt func() error) (retries int, err err
 	}
 }
 
-// connect establishes connections to n workers according to the configured
-// mode, returning a cleanup that closes connections and reclaims whatever
-// was started. n is at most the mode's worker count — a query-scoped run
-// that dropped partitions needs fewer workers (the first n addresses, or n
-// spawned/loopback workers). Transient failures are retried with backoff;
-// with tolerate set (replicated runs) a worker that stays unreachable comes
-// back as a nil connection with its error in dialErrs, for the caller to
-// record as dead — without it (no replicas to absorb the loss) any failure
-// is fatal. inproc reports that the workers share this process (the
-// loopback default), which changes how worker memory reports aggregate.
-// cleanup is non-nil even on error.
-func (d Dist) connect(n int, tolerate bool) (conns []*wire.Conn, dialErrs []error, inproc bool, cleanup func(), retries int, err error) {
-	var closers []func()
-	cleanup = func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
+// SpawnWorkers forks n snaple-worker processes on ephemeral loopback ports
+// and returns their addresses, plus a stop that kills them all. Each start
+// is retried with backoff as a fresh process (attempts/backoff as on
+// Dist.DialAttempts/DialBackoff); a failed attempt reaps its process
+// before the retry, so a flaky start never leaks an orphan. bin defaults to
+// "snaple-worker" resolved through PATH. stop is non-nil even on error.
+func SpawnWorkers(bin string, n, attempts int, backoff time.Duration) (addrs []string, stop func(), retries int, err error) {
+	var stops []func()
+	stop = func() {
+		for _, s := range stops {
+			s()
 		}
 	}
-	fail := func(err error) ([]*wire.Conn, []error, bool, func(), int, error) {
-		cleanup()
-		return nil, nil, false, func() {}, retries, err
+	if bin == "" {
+		bin = "snaple-worker"
 	}
-	addConn := func(addr string) error {
-		var c *wire.Conn
-		r, err := d.withRetry(false, func() error {
-			var derr error
-			c, derr = wire.DialWith(addr, wire.DialOptions{Proto: d.Proto, Compress: d.Compress})
-			return derr
+	path, err := exec.LookPath(bin)
+	if err != nil {
+		return nil, stop, 0, fmt.Errorf("worker binary %q not found (build cmd/snaple-worker or set WorkerBin): %w", bin, err)
+	}
+	for i := 0; i < n; i++ {
+		r, err := withRetry(attempts, backoff, true, func() error {
+			addr, s, err := spawnWorker(path)
+			if err != nil {
+				return err
+			}
+			addrs = append(addrs, addr)
+			stops = append(stops, s)
+			return nil
 		})
 		retries += r
 		if err != nil {
-			if tolerate {
-				conns = append(conns, nil)
-				dialErrs = append(dialErrs, fmt.Errorf("engine: dist dial %s: %w", addr, err))
-				return nil
-			}
-			return err
-		}
-		closers = append(closers, func() { c.Close() })
-		conns = append(conns, c)
-		dialErrs = append(dialErrs, nil)
-		return nil
-	}
-
-	mode, avail := d.mode()
-	if n > avail {
-		return fail(fmt.Errorf("need %d workers but the deployment provides %d", n, avail))
-	}
-	switch mode {
-	case modeAddrs:
-		// A worker serves one session at a time, so dialing the same worker
-		// twice deadlocks the ship handshake (caught late by shipTimeout);
-		// reject the footgun up front instead.
-		seen := make(map[string]struct{}, len(d.Addrs))
-		for _, addr := range d.Addrs[:n] {
-			if _, dup := seen[addr]; dup {
-				return fail(fmt.Errorf("duplicate worker address %q: each worker serves one session at a time", addr))
-			}
-			seen[addr] = struct{}{}
-			if err := addConn(addr); err != nil {
-				return fail(err)
-			}
-		}
-	case modeSpawn:
-		bin := d.WorkerBin
-		if bin == "" {
-			bin = "snaple-worker"
-		}
-		path, err := exec.LookPath(bin)
-		if err != nil {
-			return fail(fmt.Errorf("worker binary %q not found (build cmd/snaple-worker or set WorkerBin): %w", bin, err))
-		}
-		for i := 0; i < n; i++ {
-			// One attempt = one fresh process plus its handshake; a failed
-			// attempt reaps its process before the retry, so a flaky worker
-			// start never leaks an orphan.
-			var c *wire.Conn
-			var stop func()
-			r, err := d.withRetry(true, func() error {
-				addr, s, serr := spawnWorker(path)
-				if serr != nil {
-					return serr
-				}
-				cc, derr := wire.DialWith(addr, wire.DialOptions{Proto: d.Proto, Compress: d.Compress})
-				if derr != nil {
-					s()
-					return derr
-				}
-				c, stop = cc, s
-				return nil
-			})
-			retries += r
-			if err != nil {
-				if tolerate {
-					conns = append(conns, nil)
-					dialErrs = append(dialErrs, fmt.Errorf("engine: dist spawn: %w", err))
-					continue
-				}
-				return fail(err)
-			}
-			closers = append(closers, stop, func() { c.Close() })
-			conns = append(conns, c)
-			dialErrs = append(dialErrs, nil)
-		}
-	default:
-		inproc = true
-		for i := 0; i < n; i++ {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return fail(err)
-			}
-			go func() { _ = wire.Serve(l, nil) }()
-			closers = append(closers, func() { l.Close() })
-			if err := addConn(l.Addr().String()); err != nil {
-				return fail(err)
-			}
+			stop()
+			return nil, func() {}, retries, err
 		}
 	}
-	return conns, dialErrs, inproc, cleanup, retries, nil
+	return addrs, stop, retries, nil
 }
 
 // spawnWorker forks one snaple-worker on an ephemeral loopback port and

@@ -19,8 +19,8 @@ import (
 const workerAddrsEnv = "SNAPLE_WORKER_ADDRS"
 
 // workerPool provides worker addresses for a test: external processes when
-// workerAddrsEnv is set, otherwise an in-process loopback fleet (real TCP
-// and gob, torn down with the test).
+// workerAddrsEnv is set, otherwise an in-process loopback fleet of plain
+// (non-resident) workers (real TCP and frames, torn down with the test).
 func workerPool(t *testing.T, n int) []string {
 	t.Helper()
 	if env := os.Getenv(workerAddrsEnv); env != "" {
@@ -218,12 +218,10 @@ func TestDistInProc(t *testing.T) {
 	}
 }
 
-// TestDistWireOptions pins result equivalence across wire protocol modes:
-// per-frame compression, a coordinator pinned to the legacy gob protocol,
-// and a mixed fleet where one worker speaks only gob — the coordinator's
-// router must bridge between the v3 stream and the legacy exchange without
-// changing a bit of the output. Paths=3 keeps the TwoHop refresh in play so
-// every record type crosses both codecs.
+// TestDistWireOptions pins result equivalence across wire options:
+// per-frame compression must shrink the measured traffic without changing
+// a bit of the output. Paths=3 keeps the TwoHop refresh in play so every
+// record type crosses the wire.
 func TestDistWireOptions(t *testing.T) {
 	g := testGraph(t, 200, 7)
 	cfg := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 3,
@@ -253,23 +251,10 @@ func TestDistWireOptions(t *testing.T) {
 			t.Errorf("compression grew traffic: %d -> %d bytes", plain.CrossBytes, zipped.CrossBytes)
 		}
 	})
-	t.Run("legacy-pinned", func(t *testing.T) {
-		check(t, Dist{InProc: 3, Seed: 42, Proto: wire.ProtocolV2})
-	})
-	t.Run("mixed-fleet", func(t *testing.T) {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		go func() { _ = wire.ServeWith(l, nil, wire.ServeOptions{MaxProto: wire.ProtocolV2}) }()
-		addrs := append([]string{l.Addr().String()}, workerPool(t, 2)...)
-		check(t, Dist{Addrs: addrs, Seed: 42})
-	})
 }
 
-// TestDistRejectsDuplicateAddrs: dialing the same worker twice would
-// deadlock its sequential session loop, so the coordinator refuses up front.
+// TestDistRejectsDuplicateAddrs: two fleet slots on one worker would put a
+// replica in its twin's failure domain, so the coordinator refuses up front.
 func TestDistRejectsDuplicateAddrs(t *testing.T) {
 	g := testGraph(t, 20, 1)
 	cfg := core.Config{Score: mustScore(t, "linearSum"), K: 5, Seed: 1}

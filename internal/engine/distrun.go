@@ -23,7 +23,7 @@ var ErrPartitionLost = errors.New("partition lost: all replicas dead")
 // connection error or a missed phase deadline marks that worker dead here,
 // and the run continues on the survivors.
 //
-// Replication model: with replica factor R, partition p is shipped to the R
+// Replication model: with replica factor R, partition p is served by the R
 // connections groups[p]. Every replica receives identical traffic — the
 // step-begin broadcast, the foreign partials routed to the partition's
 // masters, the mirror refreshes — and therefore computes identically (all
@@ -59,21 +59,21 @@ type distRun struct {
 	newDead    bool // a death since the last beginAttempt
 }
 
-// newDistRun wires the run state for len(dep.parts) partitions served by
-// conns, where conns[p*replicas : (p+1)*replicas] are partition p's
-// replicas. Nil connections (workers that never dialed) are recorded dead
-// by the caller via markDead.
+// newDistRun wires the run state for len(conns)/replicas partitions, where
+// conns[p*replicas : (p+1)*replicas] are partition p's replicas. Nil
+// connections (workers that never dialed) are recorded dead by the caller
+// via markDead.
 func newDistRun(dep *deployment, conns []*wire.Conn, replicas int, timeout time.Duration) *distRun {
 	r := &distRun{
 		dep:       dep,
 		conns:     conns,
 		partOf:    make([]int, len(conns)),
-		groups:    make([][]int, len(dep.parts)),
+		groups:    make([][]int, len(conns)/replicas),
 		timeout:   timeout,
 		alive:     make([]bool, len(conns)),
 		deadErr:   make([]error, len(conns)),
 		primary:   make([]bool, len(conns)),
-		primaryOf: make([]int, len(dep.parts)),
+		primaryOf: make([]int, len(conns)/replicas),
 	}
 	for i := range conns {
 		p := i / replicas
@@ -260,35 +260,6 @@ func (r *distRun) killWorker(i int) {
 	}
 }
 
-// ship sends each worker its partition and waits for every acknowledgement,
-// under the ship deadline. Connection failures are liveness verdicts (a
-// replica dead at ship fails over like any other death); a worker's typed
-// rejection of the job is deterministic — every replica would refuse the
-// same way — so it fails the run instead.
-func (r *distRun) ship(job wire.JobSpec) error {
-	var mu sync.Mutex
-	var fatal error
-	r.eachAlive(func(i int, c *wire.Conn) error {
-		_ = c.SetDeadline(time.Now().Add(shipTimeout))
-		defer func() { _ = c.SetDeadline(time.Time{}) }()
-		if err := c.Send(&wire.Msg{Kind: wire.KindShip, Version: c.Proto(), Job: job, Part: r.dep.parts[r.partOf[i]]}); err != nil {
-			return err
-		}
-		if _, err := c.Expect(wire.KindReady); err != nil {
-			if wire.IsRemoteError(err) {
-				mu.Lock()
-				if fatal == nil {
-					fatal = err
-				}
-				mu.Unlock()
-			}
-			return err
-		}
-		return nil
-	})
-	return fatal
-}
-
 // runStep drives one attempt of one superstep across the live workers. It
 // never returns an error: every failure inside is a liveness verdict on one
 // connection, and the caller decides between restart and ErrPartitionLost
@@ -315,55 +286,11 @@ func (r *distRun) runStep(step core.DistStep, final bool) {
 	// replicas' records to the master partitions' replica groups as they
 	// arrive. Order across sources is irrelevant: all folds canonicalise.
 	r.eachAlive(func(i int, c *wire.Conn) error {
-		route := r.isPrimary(i)
-		if c.Proto() == wire.ProtocolV3 {
-			for {
-				f, err := c.RecvRaw()
-				if err != nil {
-					return err
-				}
-				if f.Kind != wire.KindPartials || f.Step != step {
-					return fmt.Errorf("%s for %v during %v partials", f.Kind, f.Step, step)
-				}
-				if route {
-					if err := wire.ForEachPartialRecord(f.Payload, rt.routePartialRaw); err != nil {
-						return err
-					}
-				}
-				if f.Final {
-					return nil
-				}
-			}
-		}
-		m, err := c.Expect(wire.KindPartials)
-		if err != nil {
-			return err
-		}
-		if m.Step != step {
-			return fmt.Errorf("partials for %v during %v", m.Step, step)
-		}
-		if route {
-			for _, dp := range m.Partials {
-				if err := rt.routePartialDec(dp); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		return r.drain(c, wire.KindPartials, step, r.isPrimary(i), rt.routePartial)
 	})
-	// Every v3 destination gets a final-flagged chunk — possibly empty, the
-	// stream terminator its apply phase waits for; v2 destinations get their
-	// single legacy message.
-	r.armDeadline()
-	r.eachAlive(func(i int, c *wire.Conn) error {
-		dst := &rt.dests[i]
-		dst.mu.Lock()
-		defer dst.mu.Unlock()
-		if c.Proto() == wire.ProtocolV3 {
-			return c.SendRaw(wire.KindForeign, step, true, dst.bb.Payload())
-		}
-		return c.Send(&wire.Msg{Kind: wire.KindForeign, Step: step, Partials: dst.parts})
-	})
+	// Every destination gets a final-flagged chunk — possibly empty, the
+	// stream terminator its apply phase waits for.
+	r.flushAll(wire.KindForeign, step)
 	if final {
 		return
 	}
@@ -373,51 +300,47 @@ func (r *distRun) runStep(step core.DistStep, final bool) {
 	rt.reset(step)
 	r.armDeadline()
 	r.eachAlive(func(i int, c *wire.Conn) error {
-		route := r.isPrimary(i)
-		if c.Proto() == wire.ProtocolV3 {
-			for {
-				f, err := c.RecvRaw()
-				if err != nil {
-					return err
-				}
-				if f.Kind != wire.KindRefresh || f.Step != step {
-					return fmt.Errorf("%s for %v during %v refresh", f.Kind, f.Step, step)
-				}
-				if route {
-					if err := wire.ForEachStateRecord(f.Payload, rt.routeStateRaw); err != nil {
-						return err
-					}
-				}
-				if f.Final {
-					return nil
-				}
-			}
-		}
-		m, err := c.Expect(wire.KindRefresh)
+		return r.drain(c, wire.KindRefresh, step, r.isPrimary(i), rt.routeState)
+	})
+	r.flushAll(wire.KindMirrors, step)
+}
+
+// drain reads one worker's chunked upstream for step until its final chunk,
+// handing every record to fn when the worker is its partition's serving
+// replica; a standby's identical stream is read and discarded.
+func (r *distRun) drain(c *wire.Conn, kind wire.Kind, step core.DistStep, route bool, fn func(graph.VertexID, []byte) error) error {
+	each := wire.ForEachPartialRecord
+	if kind == wire.KindRefresh {
+		each = wire.ForEachStateRecord
+	}
+	for {
+		f, err := c.RecvRaw()
 		if err != nil {
 			return err
 		}
-		if m.Step != step {
-			return fmt.Errorf("refresh for %v during %v", m.Step, step)
+		if f.Kind != kind || f.Step != step {
+			return fmt.Errorf("%s for %v during %v %s", f.Kind, f.Step, step, kind)
 		}
 		if route {
-			for _, vs := range m.States {
-				if err := rt.routeStateDec(vs); err != nil {
-					return err
-				}
+			if err := each(f.Payload, fn); err != nil {
+				return err
 			}
 		}
-		return nil
-	})
+		if f.Final {
+			return nil
+		}
+	}
+}
+
+// flushAll ends a routing phase: every live destination gets its pending
+// records as a final-flagged chunk.
+func (r *distRun) flushAll(kind wire.Kind, step core.DistStep) {
 	r.armDeadline()
 	r.eachAlive(func(i int, c *wire.Conn) error {
-		dst := &rt.dests[i]
+		dst := &r.rt.dests[i]
 		dst.mu.Lock()
 		defer dst.mu.Unlock()
-		if c.Proto() == wire.ProtocolV3 {
-			return c.SendRaw(wire.KindMirrors, step, true, dst.bb.Payload())
-		}
-		return c.Send(&wire.Msg{Kind: wire.KindMirrors, Step: step, States: dst.states})
+		return c.SendRaw(kind, step, true, dst.bb.Payload())
 	})
 }
 
@@ -488,15 +411,14 @@ func (r *distRun) promote(p int) int {
 }
 
 // router is the coordinator's streaming exchange state: one destination per
-// connection, each holding the outgoing chunk under construction. v3
-// records are routed raw — appended verbatim to the destination's batch and
-// flushed in fixed-size chunks as they arrive, so the coordinator never
-// decodes what it only forwards. v2 (gob) destinations buffer decoded
-// values and get their single legacy message after the barrier, bridging
-// mixed fleets. A record for partition p fans out to every live replica in
-// groups[p] — identical inbound traffic is what keeps the replicas
-// interchangeable. A send failure to a destination is a liveness verdict on
-// that destination and never propagates to the source being drained.
+// connection, each holding the outgoing chunk under construction. Records
+// are routed raw — appended verbatim to the destination's batch and flushed
+// in fixed-size chunks as they arrive, so the coordinator never decodes
+// what it only forwards. A record for partition p fans out to every live
+// replica in groups[p] — identical inbound traffic is what keeps the
+// replicas interchangeable. A send failure to a destination is a liveness
+// verdict on that destination and never propagates to the source being
+// drained.
 type router struct {
 	step  core.DistStep
 	dests []routeDest
@@ -504,11 +426,9 @@ type router struct {
 }
 
 type routeDest struct {
-	mu     sync.Mutex
-	c      *wire.Conn
-	bb     wire.BatchBuilder
-	parts  []core.DistPartial // v2 bridge: decoded partials
-	states []wire.VertexState // v2 bridge: decoded states
+	mu sync.Mutex
+	c  *wire.Conn
+	bb wire.BatchBuilder
 }
 
 func newRouter(r *distRun) *router {
@@ -531,137 +451,50 @@ func newRouter(r *distRun) *router {
 func (rt *router) reset(step core.DistStep) {
 	rt.step = step
 	for i := range rt.dests {
-		d := &rt.dests[i]
-		d.bb.Reset()
-		d.parts = d.parts[:0]
-		d.states = d.states[:0]
+		rt.dests[i].bb.Reset()
 	}
 }
 
-// flushLocked sends the destination's chunk when it reached the threshold.
-// Caller holds d.mu.
-func (rt *router) flushLocked(d *routeDest, kind wire.Kind) error {
-	if d.bb.Len() < routeChunkBytes {
-		return nil
-	}
-	err := d.c.SendRaw(kind, rt.step, false, d.bb.Payload())
-	d.bb.Reset()
-	return err
-}
-
-// appendRaw appends one raw record to destination j's batch, flushing at
-// the threshold. A flush failure marks j dead; a decode failure (v2
-// bridge) is the source's fault and propagates.
-func (rt *router) appendRaw(j int, kind wire.Kind, rec []byte) error {
+// appendRaw appends one raw record to destination j's batch, flushing a
+// full chunk. A flush failure marks j dead.
+func (rt *router) appendRaw(j int, kind wire.Kind, rec []byte) {
 	if !rt.run.isAlive(j) {
-		return nil
+		return
 	}
 	d := &rt.dests[j]
 	d.mu.Lock()
-	if d.c.Proto() == wire.ProtocolV3 {
-		d.bb.AppendRaw(rec)
-		if err := rt.flushLocked(d, kind); err != nil {
-			d.mu.Unlock()
-			rt.run.markDead(j, err)
-			return nil
-		}
-		d.mu.Unlock()
-		return nil
-	}
+	d.bb.AppendRaw(rec)
 	var err error
-	if kind == wire.KindForeign {
-		var dp core.DistPartial
-		if dp, err = wire.DecodePartialRecord(rec); err == nil {
-			d.parts = append(d.parts, dp)
-		}
-	} else {
-		var vs wire.VertexState
-		if vs, err = wire.DecodeStateRecord(rec); err == nil {
-			d.states = append(d.states, vs)
-		}
+	if d.bb.Len() >= routeChunkBytes {
+		err = d.c.SendRaw(kind, rt.step, false, d.bb.Payload())
+		d.bb.Reset()
 	}
 	d.mu.Unlock()
-	return err
+	if err != nil {
+		rt.run.markDead(j, err)
+	}
 }
 
-// routePartialRaw routes one encoded partial record (from a v3 worker's
-// stream) to every replica of its vertex's master partition.
-func (rt *router) routePartialRaw(v graph.VertexID, rec []byte) error {
-	mp := rt.dep().masterPart[v]
+// routePartial routes one encoded partial record to every replica of its
+// vertex's master partition.
+func (rt *router) routePartial(v graph.VertexID, rec []byte) error {
+	mp := rt.run.dep.masterPart[v]
 	if mp < 0 {
 		return fmt.Errorf("partial for vertex %d, which no partition hosts", v)
 	}
 	for _, j := range rt.run.groups[mp] {
-		if err := rt.appendRaw(j, wire.KindForeign, rec); err != nil {
-			return err
-		}
+		rt.appendRaw(j, wire.KindForeign, rec)
 	}
 	return nil
 }
 
-// routePartialDec routes one decoded partial (from a v2 worker's message).
-func (rt *router) routePartialDec(dp core.DistPartial) error {
-	mp := rt.dep().masterPart[dp.V]
-	if mp < 0 {
-		return fmt.Errorf("partial for vertex %d, which no partition hosts", dp.V)
-	}
-	for _, j := range rt.run.groups[mp] {
-		if !rt.run.isAlive(j) {
-			continue
-		}
-		d := &rt.dests[j]
-		d.mu.Lock()
-		if d.c.Proto() == wire.ProtocolV3 {
-			d.bb.AppendPartial(&dp)
-			if err := rt.flushLocked(d, wire.KindForeign); err != nil {
-				d.mu.Unlock()
-				rt.run.markDead(j, err)
-				continue
-			}
-		} else {
-			d.parts = append(d.parts, dp)
-		}
-		d.mu.Unlock()
-	}
-	return nil
-}
-
-// routeStateRaw fans one encoded state record out to every replica of every
+// routeState fans one encoded state record out to every replica of every
 // partition holding one of the vertex's mirrors.
-func (rt *router) routeStateRaw(v graph.VertexID, rec []byte) error {
-	for _, mp := range rt.dep().mirrors[v] {
+func (rt *router) routeState(v graph.VertexID, rec []byte) error {
+	for _, mp := range rt.run.dep.mirrors[v] {
 		for _, j := range rt.run.groups[mp] {
-			if err := rt.appendRaw(j, wire.KindMirrors, rec); err != nil {
-				return err
-			}
+			rt.appendRaw(j, wire.KindMirrors, rec)
 		}
 	}
 	return nil
 }
-
-// routeStateDec fans one decoded state out to the vertex's mirror replicas.
-func (rt *router) routeStateDec(vs wire.VertexState) error {
-	for _, mp := range rt.dep().mirrors[vs.V] {
-		for _, j := range rt.run.groups[mp] {
-			if !rt.run.isAlive(j) {
-				continue
-			}
-			d := &rt.dests[j]
-			d.mu.Lock()
-			if d.c.Proto() == wire.ProtocolV3 {
-				d.bb.AppendState(vs.V, &vs.Data)
-				if err := rt.flushLocked(d, wire.KindMirrors); err != nil {
-					d.mu.Unlock()
-					rt.run.markDead(j, err)
-					continue
-				}
-			} else {
-				d.states = append(d.states, vs)
-			}
-			d.mu.Unlock()
-		}
-	}
-	return nil
-}
-
-func (rt *router) dep() *deployment { return rt.run.dep }

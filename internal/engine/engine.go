@@ -16,7 +16,12 @@
 //     accounting (internal/gas, internal/partition, internal/cluster);
 //   - Dist — the same supersteps across real worker processes over TCP
 //     (internal/wire, cmd/snaple-worker), with cross-worker traffic
-//     measured on the wire instead of simulated.
+//     measured on the wire instead of simulated: a Fleet opened per call.
+//
+// Fleet is the one distributed coordinator. It cuts the graph once, holds
+// standing connections to workers that each hold one shard (pinned from a
+// packed shard file, or shipped once per connection), and attaches every
+// query by fingerprint, contacting only the shards the query touches.
 //
 // All backends produce bit-identical Predictions for the same (graph,
 // Config): truncation and the Γrnd relay selection are hash-keyed draws and
@@ -53,20 +58,21 @@ type Stats struct {
 	// AllocBytes / AllocObjects are heap bytes and objects allocated during
 	// the run (runtime.MemStats deltas; approximate under concurrent load).
 	// Set by the serial and local backends, which are engineered to keep the
-	// per-vertex steady state allocation-free; for dist they sum the
-	// worker-reported deltas.
+	// per-vertex steady state allocation-free; for dist and fleet runs they
+	// sum the worker-reported deltas (the max across in-process workers,
+	// whose deltas each already cover the whole process).
 	AllocBytes, AllocObjects int64
 	// SimSeconds is the simulated cluster latency (sim backend only).
 	SimSeconds float64
 	// CrossBytes / CrossMsgs count cross-node traffic: simulated from the
 	// paper's cost model for sim, measured on the wire for dist (all
-	// coordinator↔worker traffic after the initial partition shipping).
+	// coordinator↔worker traffic after the attach handshake).
 	CrossBytes, CrossMsgs int64
 	// ShipBytes is the wire traffic of the setup phase that precedes the
-	// supersteps: for a resident fleet, the attach handshake (fingerprint
+	// supersteps: for dist and fleet runs, the attach handshake (fingerprint
 	// plus, on scoped queries, the sparse closure roles) — never partition
-	// columns, which is the measurable point of residency. 0 for backends
-	// that fold setup into untimed per-run shipping.
+	// columns, which are shipped once per connection before any query.
+	// 0 for the in-memory backends.
 	ShipBytes int64
 	// MemPeakBytes is the highest per-node memory footprint: simulated for
 	// sim, the largest worker-reported live heap for dist.

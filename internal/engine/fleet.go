@@ -51,10 +51,10 @@ func FleetFingerprint(g *graph.Digraph, shards int, strategy string, seed uint64
 }
 
 // PackShards vertex-cuts g into shards resident partitions using the same
-// deployment logic (and the same deterministic master election) a full
-// distributed run would compute, so a fleet attached to the packed shards is
-// bit-identical to one that shipped partitions per run. The manifest's Files
-// column is left empty — the packer names the files.
+// deployment logic (and the same deterministic master election) OpenFleet
+// computes, so a fleet attached to the packed shards is bit-identical to one
+// that shipped them. The manifest's Files column is left empty — the packer
+// names the files.
 func PackShards(g *graph.Digraph, strat partition.Strategy, seed uint64, shards int) ([]*graph.ShardFile, *graph.Manifest, error) {
 	if shards <= 0 {
 		return nil, nil, fmt.Errorf("engine: pack: non-positive shard count %d", shards)
@@ -62,7 +62,7 @@ func PackShards(g *graph.Digraph, strat partition.Strategy, seed uint64, shards 
 	if strat == nil {
 		strat = partition.HashEdge{Seed: seed}
 	}
-	dep, err := Dist{Strategy: strat, Seed: seed}.deploy(g, shards, nil)
+	dep, err := deploy(g, strat, seed, shards)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -122,16 +122,20 @@ type FleetInfo struct {
 
 // FleetOptions configures OpenFleet.
 type FleetOptions struct {
-	// Addrs connects to resident snaple-worker processes, shard-major:
-	// Addrs[s*Replicas+r] is replica r of shard s. Its length must be
-	// Shards*Replicas for the manifest's (or InProc's) shard count. Empty
-	// means an in-process resident fleet (loopback listeners pinned to
-	// in-memory shards) — the zero-config path tests and single-machine
-	// serving use.
+	// Addrs connects to snaple-worker processes, shard-major:
+	// Addrs[s*Replicas+r] is replica r of shard s. With a Manifest the
+	// workers are resident (started with -shard) and its length must be
+	// Shards*Replicas. Without one the workers receive their shards from
+	// the fleet, once per connection: Replicas is clamped to len(Addrs),
+	// the fleet has len(Addrs)/Replicas shards, and any workers beyond the
+	// last whole replica group stay unused. Empty means an in-process
+	// resident fleet (loopback listeners pinned to in-memory shards) — the
+	// zero-config path tests and single-machine serving use.
 	Addrs []string
 	// Manifest pins the fleet identity: shard count, cut strategy and seed,
-	// and the fingerprint every worker must present. Nil derives all three
-	// from InProc/Strategy/Seed instead (in-process fleets only).
+	// and the fingerprint every resident worker must present. Nil derives
+	// all three from Addrs (or InProc)/Strategy/Seed, and the fleet cuts and
+	// ships the shards itself.
 	Manifest *graph.Manifest
 	// InProc is the shard count of an in-process fleet when no Manifest is
 	// given (0 = 2).
@@ -142,22 +146,22 @@ type FleetOptions struct {
 	// (nil = partition.HashEdge{Seed}).
 	Strategy partition.Strategy
 	Seed     uint64
-	// StepTimeout/DialAttempts/DialBackoff/Proto/Compress behave exactly as
-	// on Dist.
+	// StepTimeout/DialAttempts/DialBackoff/Compress behave exactly as on
+	// Dist.
 	StepTimeout  time.Duration
 	DialAttempts int
 	DialBackoff  time.Duration
-	Proto        int
 	Compress     bool
 }
 
-// Fleet is the resident-partition coordinator: workers pinned to packed
-// shards, standing connections, and per-query routing that contacts only the
-// replica groups whose shards intersect the query's frontier closure. Where
-// Dist re-partitions and re-ships the graph on every Predict, a Fleet pays
-// for partitioning once at Open and thereafter attaches by fingerprint — the
-// per-query "ship" is a fixed-size handshake (plus, on scoped queries, the
-// sparse per-closure-vertex roles), never partition bytes.
+// Fleet is the coordinator: workers holding one shard each, standing
+// connections, and per-query routing that contacts only the replica groups
+// whose shards intersect the query's frontier closure. A Fleet pays for
+// partitioning once at Open — and, for workers that are not resident, for
+// shipping each its shard once per connection — and thereafter attaches by
+// fingerprint: the per-query setup is a fixed-size handshake (plus, on
+// scoped queries, the sparse per-closure-vertex roles), never partition
+// bytes. Dist is a Fleet opened for one call.
 //
 // A Fleet is safe for concurrent use; queries are serialised internally over
 // the standing connections. Results are bit-identical to every other backend
@@ -170,10 +174,12 @@ type Fleet struct {
 	fingerprint uint64
 	seed        uint64
 	timeout     time.Duration
-	proto       int
 	compress    bool
 	dialAtt     int
 	dialBack    time.Duration
+	// ship holds each shard's partition when the workers are not resident:
+	// every (re)dialed connection receives its shard before any attach.
+	ship []wire.Partition
 
 	// Routing state derived from the cut at Open.
 	masterFull []int32   // per vertex: shard mastering it on a full run (-1 = absent)
@@ -185,6 +191,7 @@ type Fleet struct {
 	addrs     []string // one per connection, shard-major
 	listeners []net.Listener
 	inproc    bool
+	hookStep  func(si int, r *distRun) // see Dist.hookStep
 
 	mu          sync.Mutex
 	conns       []*wire.Conn // nil: never dialed or swept after death
@@ -200,12 +207,14 @@ type Fleet struct {
 // query's attach.
 var handshakeJob = wire.JobSpec{Score: "counter", Alpha: 0.9, K: 1, Paths: 2}
 
-// OpenFleet stands up (or connects to) a resident fleet for g and verifies
-// every worker's resident shard against the fleet fingerprint. With a
-// Manifest the graph must match it exactly — vertex count, edge count and
-// fingerprint — and every worker presenting a different fingerprint is
-// rejected with ErrManifestMismatch. The returned Fleet holds standing
-// connections until Close.
+// OpenFleet stands up (or connects to) a fleet for g. Resident workers — a
+// Manifest's, or the in-process ones — are verified against the fleet
+// fingerprint: with a Manifest the graph must match it exactly (vertex
+// count, edge count and fingerprint), and every worker presenting a
+// different fingerprint is rejected with ErrManifestMismatch. Workers at
+// Addrs without a Manifest are shipped their shards instead; one already
+// resident for a different pack refuses with the same error. The returned
+// Fleet holds standing connections until Close.
 func OpenFleet(g *graph.Digraph, o FleetOptions) (*Fleet, error) {
 	if g == nil {
 		return nil, errors.New("engine: fleet: nil graph")
@@ -233,10 +242,9 @@ func OpenFleet(g *graph.Digraph, o FleetOptions) (*Fleet, error) {
 			return nil, fmt.Errorf("engine: fleet: %w", err)
 		}
 	} else if len(o.Addrs) > 0 {
-		if len(o.Addrs)%reps != 0 {
-			return nil, fmt.Errorf("engine: fleet: %d addresses do not divide into replica groups of %d", len(o.Addrs), reps)
-		}
+		reps = min(reps, len(o.Addrs))
 		shards = len(o.Addrs) / reps
+		o.Addrs = o.Addrs[:shards*reps]
 	}
 	if shards <= 0 {
 		shards = 2
@@ -247,6 +255,16 @@ func OpenFleet(g *graph.Digraph, o FleetOptions) (*Fleet, error) {
 	if len(o.Addrs) > 0 && len(o.Addrs) != shards*reps {
 		return nil, fmt.Errorf("engine: fleet: %d addresses for %d shards x %d replicas", len(o.Addrs), shards, reps)
 	}
+	// Each address is one worker holding one shard: a second slot on the
+	// same worker would be a miswired resident or a replica that shares its
+	// twin's failure domain.
+	seen := make(map[string]bool, len(o.Addrs))
+	for _, a := range o.Addrs {
+		if seen[a] {
+			return nil, fmt.Errorf("engine: fleet: duplicate worker address %q", a)
+		}
+		seen[a] = true
+	}
 
 	fp := FleetFingerprint(g, shards, strat.Name(), seed)
 	if o.Manifest != nil && fp != o.Manifest.Fingerprint {
@@ -254,15 +272,15 @@ func OpenFleet(g *graph.Digraph, o FleetOptions) (*Fleet, error) {
 			ErrManifestMismatch, o.Manifest.Fingerprint, fp)
 	}
 
-	dep, err := Dist{Strategy: strat, Seed: seed}.deploy(g, shards, nil)
+	dep, err := deploy(g, strat, seed, shards)
 	if err != nil {
 		return nil, err
 	}
 
 	f := &Fleet{
 		g: g, shards: shards, replicas: reps, fingerprint: fp, seed: seed,
-		timeout: Dist{StepTimeout: o.StepTimeout}.stepTimeout(),
-		proto:   o.Proto, compress: o.Compress,
+		timeout:  stepTimeout(o.StepTimeout),
+		compress: o.Compress,
 		dialAtt:  o.DialAttempts,
 		dialBack: o.DialBackoff,
 
@@ -285,32 +303,22 @@ func OpenFleet(g *graph.Digraph, o FleetOptions) (*Fleet, error) {
 		f.hostShards[v] = hosts
 	}
 	// Which shards hold each vertex's out-edges: the query router's index.
-	// The assignment is recomputed from the (deterministic) strategy so
-	// deploy's per-shard edge lists don't have to be retained.
-	assign, err := strat.Partition(g, shards)
-	if err != nil {
-		return nil, err
-	}
-	{
-		i := 0
-		g.ForEachEdge(func(u, v graph.VertexID) {
-			p := assign.EdgeTo[i]
-			i++
-			row := f.srcShards[u]
-			for _, s := range row {
-				if s == p {
-					return
-				}
+	// Shards are visited in ascending order, so every row comes out sorted.
+	for sh := range dep.parts {
+		p := &dep.parts[sh]
+		for _, li := range p.EdgeSrc {
+			u := p.Locals[li]
+			if row := f.srcShards[u]; len(row) == 0 || row[len(row)-1] != int32(sh) {
+				f.srcShards[u] = append(row, int32(sh))
 			}
-			f.srcShards[u] = append(row, p)
-		})
-		for _, row := range f.srcShards {
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
 		}
 	}
 
 	if len(o.Addrs) > 0 {
 		f.addrs = append([]string(nil), o.Addrs...)
+		if o.Manifest == nil {
+			f.ship = dep.parts
+		}
 	} else {
 		// In-process resident fleet: one loopback listener per worker, each
 		// pinned to its shard's columns. Real TCP, real frames — just no
@@ -332,71 +340,81 @@ func OpenFleet(g *graph.Digraph, o FleetOptions) (*Fleet, error) {
 		}
 	}
 
-	// Dial and verify every worker now: a fingerprint mismatch is
-	// deterministic and should fail Open, not the first query. With
-	// replication an unreachable worker is degraded capacity, not a failed
-	// open; without it there is no replica to absorb the loss.
+	// Dial every worker now, shipping or verifying its shard: a
+	// fingerprint mismatch is deterministic and should fail Open, not the
+	// first query. With replication an unreachable worker is degraded
+	// capacity, not a failed open; without it there is no replica to absorb
+	// the loss.
+	errs := make([]error, len(f.conns))
+	retries := make([]int, len(f.conns))
+	var wg sync.WaitGroup
 	for i := range f.conns {
-		c, retries, err := f.dial(f.addrs[i])
-		f.cumRetries += retries
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f.conns[i], retries[i], errs[i] = f.dial(i, true)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		f.cumRetries += retries[i]
 		if err == nil {
-			err = f.verify(c, i)
-			if err != nil {
-				c.Close()
-				c = nil
-			}
-		}
-		if err != nil {
-			if wire.IsManifestMismatch(err) || wire.IsRemoteError(err) || reps == 1 {
-				f.Close()
-				if wire.IsManifestMismatch(err) && !errors.Is(err, ErrManifestMismatch) {
-					err = fmt.Errorf("%w: %v", ErrManifestMismatch, err)
-				}
-				return nil, fmt.Errorf("engine: fleet attach %s: %w", f.addrs[i], err)
-			}
-			f.cumDead++
 			continue
 		}
-		f.conns[i] = c
+		if wire.IsRemoteError(err) || reps == 1 {
+			f.Close()
+			if wire.IsManifestMismatch(err) && !errors.Is(err, ErrManifestMismatch) {
+				err = fmt.Errorf("%w: %v", ErrManifestMismatch, err)
+			}
+			return nil, fmt.Errorf("engine: fleet attach %s: %w", f.addrs[i], err)
+		}
+		f.cumDead++
 	}
 	return f, nil
 }
 
-// dial connects to one worker with the configured bounded retry.
-func (f *Fleet) dial(addr string) (*wire.Conn, int, error) {
-	d := Dist{DialAttempts: f.dialAtt, DialBackoff: f.dialBack}
+// dial connects to worker i with the configured bounded retry, then ships
+// it its shard when the fleet's workers are not resident. verify runs the
+// fingerprint handshake on a resident worker instead (at Open; a redialed
+// one is verified by the query's own attach).
+func (f *Fleet) dial(i int, verify bool) (*wire.Conn, int, error) {
 	var c *wire.Conn
-	retries, err := d.withRetry(false, func() error {
+	retries, err := withRetry(f.dialAtt, f.dialBack, false, func() error {
 		var derr error
-		c, derr = wire.DialWith(addr, wire.DialOptions{Proto: f.proto, Compress: f.compress})
+		c, derr = wire.DialWith(f.addrs[i], wire.DialOptions{Compress: f.compress})
 		return derr
 	})
 	if err != nil {
 		return nil, retries, err
 	}
-	return c, retries, nil
-}
-
-// verify runs the Open-time handshake on connection i: an empty scoped
-// attach that proves the worker is resident for the right shard of the right
-// fleet. The dangling session it starts is replaced by the first query.
-func (f *Fleet) verify(c *wire.Conn, i int) error {
-	_ = c.SetDeadline(time.Now().Add(shipTimeout))
-	defer func() { _ = c.SetDeadline(time.Time{}) }()
-	err := c.Send(&wire.Msg{
-		Kind: wire.KindAttach, Version: c.Proto(), Job: handshakeJob,
-		Attach: wire.AttachSpec{
-			Fingerprint: f.fingerprint,
-			Shard:       int32(i / f.replicas),
-			Shards:      int32(f.shards),
-			Scoped:      true,
-		},
-	})
-	if err != nil {
-		return err
+	shard := i / f.replicas
+	var m *wire.Msg
+	switch {
+	case f.ship != nil:
+		m = &wire.Msg{Kind: wire.KindShip, Shard: wire.ResidentShard{
+			Fingerprint: f.fingerprint, Shards: f.shards, Part: f.ship[shard],
+		}}
+	case verify:
+		// An empty scoped attach proves the worker is resident for the
+		// right shard of the right fleet; the dangling session it starts is
+		// replaced by the first query.
+		m = &wire.Msg{Kind: wire.KindAttach, Job: handshakeJob, Attach: wire.AttachSpec{
+			Fingerprint: f.fingerprint, Shard: int32(shard), Shards: int32(f.shards), Scoped: true,
+		}}
+	default:
+		return c, retries, nil
 	}
-	_, err = c.Expect(wire.KindReady)
-	return err
+	_ = c.SetDeadline(time.Now().Add(shipTimeout))
+	if err := c.Send(m); err != nil {
+		c.Close()
+		return nil, retries, err
+	}
+	if _, err := c.Expect(wire.KindReady); err != nil {
+		c.Close()
+		return nil, retries, err
+	}
+	_ = c.SetDeadline(time.Time{})
+	return c, retries, nil
 }
 
 // Name implements Backend.
@@ -448,8 +466,8 @@ func (f *Fleet) Close() error {
 }
 
 // Predict implements Backend. The graph must be the one the fleet was opened
-// with: the workers' resident shards were cut from it, and the fingerprint
-// handshake (not this call) is what proves they still agree.
+// with: the workers' shards were cut from it, and the fingerprint handshake
+// (not this call) is what proves they still agree.
 func (f *Fleet) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
 	return f.PredictCtx(context.Background(), g, cfg)
 }
@@ -514,7 +532,7 @@ func (f *Fleet) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (
 			src := int(s)*f.replicas + r
 			li := gi*f.replicas + r
 			if f.conns[src] == nil {
-				c, retries, derr := f.dial(f.addrs[src])
+				c, retries, derr := f.dial(src, false)
 				f.cumRetries += retries
 				st.DialRetries += retries
 				if derr != nil {
@@ -576,9 +594,9 @@ func (f *Fleet) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (
 		}
 	}()
 
-	// Attach: the fingerprint handshake that replaces the ship phase. Its
-	// traffic is ShipBytes — for an unscoped attach a fixed-size frame, for a
-	// scoped one the sparse closure roles; never partition columns.
+	// Attach: the fingerprint handshake that starts the job. Its traffic is
+	// ShipBytes — for an unscoped attach a fixed-size frame, for a scoped one
+	// the sparse closure roles; never partition columns.
 	base0 := connCounters(conns)
 	run.beginAttempt()
 	if err := run.lostErr("connect"); err != nil {
@@ -603,9 +621,17 @@ func (f *Fleet) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (
 			steps = append(steps, step)
 		}
 	}
+	// Each iteration is one attempt at one superstep. A death mid-attempt
+	// aborts nothing visible: the attempt still completes its full exchange
+	// with the survivors, then the same step is re-issued to them from the
+	// top (see distRun.runStep for why the re-run is bit-identical). Every
+	// restart consumes a death, so the loop is bounded by the worker count.
 	for si := 0; si < len(steps); {
 		step := steps[si]
 		final := si == len(steps)-1
+		if f.hookStep != nil {
+			f.hookStep(si, run)
+		}
 		run.beginAttempt()
 		run.runStep(step, final)
 		if run.sawDeath() {
@@ -627,9 +653,18 @@ func (f *Fleet) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (
 		for _, vp := range res.Preds {
 			pred[vp.V] = vp.Preds
 		}
-		if res.Stats.HeapBytes > st.MemPeakBytes {
-			st.MemPeakBytes = res.Stats.HeapBytes
+		if f.inproc {
+			// In-process workers share this process, so each worker's
+			// MemStats delta already covers everyone (coordinator included):
+			// summing would count the same heap N times. The max is the
+			// closest honest process-wide figure.
+			st.AllocBytes = max(st.AllocBytes, res.Stats.AllocBytes)
+			st.AllocObjects = max(st.AllocObjects, res.Stats.AllocObjects)
+		} else {
+			st.AllocBytes += res.Stats.AllocBytes
+			st.AllocObjects += res.Stats.AllocObjects
 		}
+		st.MemPeakBytes = max(st.MemPeakBytes, res.Stats.HeapBytes)
 	}
 	st.WallSeconds = time.Since(start).Seconds()
 	if st.WallSeconds > 0 {
@@ -671,7 +706,6 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *deployment, [][]wire.S
 			touched[s] = int32(s)
 		}
 		dep := &deployment{
-			parts:      make([]wire.Partition, f.shards),
 			masterPart: f.masterFull,
 			mirrors:    f.mirrorFull,
 		}
@@ -705,10 +739,8 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *deployment, [][]wire.S
 	}
 
 	dep := &deployment{
-		parts:      make([]wire.Partition, len(touched)),
 		masterPart: make([]int32, f.g.NumVertices()),
 		mirrors:    make([][]int32, f.g.NumVertices()),
-		frontier:   frontier,
 	}
 	for v := range dep.masterPart {
 		dep.masterPart[v] = -1
@@ -728,7 +760,7 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *deployment, [][]wire.S
 			// edges, and such shards are touched), so v needs no master.
 			continue
 		}
-		// The same keyed draw the shipped deployment uses, restricted to the
+		// The same keyed draw the full deployment uses, restricted to the
 		// touched hosts — deterministic, and placement never changes results.
 		mp := hosts[randx.Uint64n(uint64(len(hosts)), f.seed, uint64(v), 0xA5)]
 		dep.masterPart[v] = groupOf[mp]
@@ -760,7 +792,7 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *deployment, [][]wire.S
 }
 
 // attach performs the fingerprint handshake on every live connection of the
-// run — the resident fleet's whole "ship" phase. A connection failure is a
+// run — the query's whole setup phase. A connection failure is a
 // liveness verdict absorbed by replication; a worker's typed rejection
 // (wrong fingerprint, wrong shard, malformed job) is deterministic across
 // replicas and fails the query, with fingerprint mismatches wrapped as
@@ -773,7 +805,7 @@ func (f *Fleet) attach(run *distRun, job wire.JobSpec, touched []int32, entries 
 		defer func() { _ = c.SetDeadline(time.Time{}) }()
 		p := run.partOf[i]
 		err := c.Send(&wire.Msg{
-			Kind: wire.KindAttach, Version: c.Proto(), Job: job,
+			Kind: wire.KindAttach, Job: job,
 			Attach: wire.AttachSpec{
 				Fingerprint: f.fingerprint,
 				Shard:       touched[p],

@@ -278,53 +278,65 @@ func TestFleetRoutingSelectivity(t *testing.T) {
 }
 
 // TestFleetZeroShipAfterAttach pins the acceptance criterion: once workers
-// are resident, a query's pre-superstep traffic is the fingerprint handshake
-// (plus sparse closure roles when scoped), never partition bytes — constant
-// across repeats, and nowhere near the size of an actual partition transfer.
+// hold their shards — resident in-process workers, or plain workers shipped
+// their shards at Open — a query's pre-superstep traffic is the fingerprint
+// handshake (plus sparse closure roles when scoped), never partition bytes:
+// constant across repeats, and nowhere near the size of an actual partition
+// transfer.
 func TestFleetZeroShipAfterAttach(t *testing.T) {
 	g := testGraph(t, 300, 7)
-	f, err := OpenFleet(g, FleetOptions{InProc: 3, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	for _, in := range []struct {
+		name string
+		opts FleetOptions
+	}{
+		{"inproc", FleetOptions{InProc: 3, Seed: 9}},
+		{"shipped", FleetOptions{Addrs: workerPool(t, 3), Seed: 9}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			f, err := OpenFleet(g, in.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
 
-	// ~12 bytes per packed edge column row is a conservative floor for what
-	// re-shipping the partitions would cost.
-	shipFloor := int64(g.NumEdges()) * 12
+			// ~12 bytes per packed edge column row is a conservative floor for
+			// what re-shipping the partitions would cost.
+			shipFloor := int64(g.NumEdges()) * 12
 
-	full := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 4, ThrGamma: 10, Seed: 42}
-	_, st1, err := f.Predict(g, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st2, err := f.Predict(g, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An unscoped attach is a fixed-size frame per connection.
-	if bound := int64(512 * st1.Workers); st1.ShipBytes == 0 || st1.ShipBytes > bound {
-		t.Errorf("full-run attach traffic %d bytes, want (0, %d]", st1.ShipBytes, bound)
-	}
-	if st1.ShipBytes != st2.ShipBytes {
-		t.Errorf("attach traffic not constant across repeats: %d then %d", st1.ShipBytes, st2.ShipBytes)
-	}
+			full := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 4, ThrGamma: 10, Seed: 42}
+			_, st1, err := f.Predict(g, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, st2, err := f.Predict(g, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An unscoped attach is a fixed-size frame per connection.
+			if bound := int64(512 * st1.Workers); st1.ShipBytes == 0 || st1.ShipBytes > bound {
+				t.Errorf("full-run attach traffic %d bytes, want (0, %d]", st1.ShipBytes, bound)
+			}
+			if st1.ShipBytes != st2.ShipBytes {
+				t.Errorf("attach traffic not constant across repeats: %d then %d", st1.ShipBytes, st2.ShipBytes)
+			}
 
-	scoped := full
-	scoped.Sources = []graph.VertexID{17}
-	_, st3, err := f.Predict(g, scoped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st4, err := f.Predict(g, scoped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3.ShipBytes == 0 || st3.ShipBytes >= shipFloor {
-		t.Errorf("scoped attach traffic %d bytes, want (0, %d) — partition bytes crossed?", st3.ShipBytes, shipFloor)
-	}
-	if st3.ShipBytes != st4.ShipBytes {
-		t.Errorf("scoped attach traffic not constant across repeats: %d then %d", st3.ShipBytes, st4.ShipBytes)
+			scoped := full
+			scoped.Sources = []graph.VertexID{17}
+			_, st3, err := f.Predict(g, scoped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, st4, err := f.Predict(g, scoped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st3.ShipBytes == 0 || st3.ShipBytes >= shipFloor {
+				t.Errorf("scoped attach traffic %d bytes, want (0, %d) — partition bytes crossed?", st3.ShipBytes, shipFloor)
+			}
+			if st3.ShipBytes != st4.ShipBytes {
+				t.Errorf("scoped attach traffic not constant across repeats: %d then %d", st3.ShipBytes, st4.ShipBytes)
+			}
+		})
 	}
 }
 

@@ -538,7 +538,7 @@ func validateCSR(n int, off []int64, adj []VertexID, what string) error {
 	parallelRanges(runtime.GOMAXPROCS(0), n, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			s, e := off[u], off[u+1]
-			if s > e || e > int64(len(adj)) {
+			if s < 0 || s > e || e > int64(len(adj)) {
 				record(fmt.Errorf("graph: snapshot: %s-offsets not monotonic at vertex %d", what, u))
 				return
 			}

@@ -36,9 +36,9 @@ const (
 	// ChaosDelay stalls the stream once for Delay when the offset is
 	// reached, then continues untouched — network jitter, not a failure.
 	ChaosDelay ChaosOp = iota
-	// ChaosCorrupt flips one bit of the byte at the offset. On a v3
-	// connection the frame's CRC-32C catches it and the receiver kills the
-	// connection — a clean model of line corruption.
+	// ChaosCorrupt flips one bit of the byte at the offset. The frame's
+	// CRC-32C catches it and the receiver kills the connection — a clean
+	// model of line corruption.
 	ChaosCorrupt
 	// ChaosCut closes the underlying transport abruptly at the offset,
 	// leaving the peer mid-frame — the signature of a SIGKILLed process.

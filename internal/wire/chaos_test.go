@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -80,11 +81,11 @@ func TestChaosTransportScript(t *testing.T) {
 	})
 }
 
-// TestWorkerSurvivesHostileSessions is the resident-worker hardening
-// satellite: garbage before the handshake, a corrupt hello, and a corrupt
-// frame mid-session must each cost exactly one session — a typed error
-// frame where the transport still works, then a close — and the worker must
-// serve the next coordinator normally. The healthy mini-session after every
+// TestWorkerSurvivesHostileSessions is the worker hardening check: garbage
+// before the handshake, a corrupt hello, and a corrupt frame mid-session
+// must each cost exactly one session — a typed error frame where the
+// transport still works, then a close — and the worker must serve the next
+// coordinator normally. The healthy mini-session after every
 // hostile one is the survival assertion.
 func TestWorkerSurvivesHostileSessions(t *testing.T) {
 	addr := serveWorkers(t, ServeOptions{})
@@ -103,9 +104,14 @@ func TestWorkerSurvivesHostileSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// No v3 magic, not valid gob either: the downgrade path's decoder
-		// must fail the session, not the process.
+		// No frame magic: the worker must answer with a typed error frame
+		// and fail the session, not the process.
 		_, _ = raw.Write(bytes.Repeat([]byte{'X'}, 64))
+		_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err = NewConn(raw).Recv()
+		if !IsRemoteError(err) || !strings.Contains(err.Error(), "bad magic") {
+			t.Fatalf("err = %v, want the worker's typed bad-magic error frame", err)
+		}
 		raw.Close()
 		healthy(t)
 	})
@@ -115,8 +121,8 @@ func TestWorkerSurvivesHostileSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// v3 magic so the worker commits to the framed protocol, then junk
-		// where the hello frame should be.
+		// Frame magic, then junk where the rest of the hello frame should
+		// be.
 		_, _ = raw.Write(append([]byte(frameMagic), bytes.Repeat([]byte{0xFF}, 40)...))
 		// The worker reports the handshake failure before closing; drain
 		// until its close so the write above is known delivered.
@@ -139,8 +145,7 @@ func TestWorkerSurvivesHostileSessions(t *testing.T) {
 		if _, err := c.Expect(KindHello); err != nil {
 			t.Fatal(err)
 		}
-		job := JobSpec{Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Paths: 2, Seed: 42}
-		if err := c.Send(&Msg{Kind: KindShip, Version: ProtocolV3, Job: job, Part: Partition{Part: 1}}); err != nil {
+		if err := c.Send(&Msg{Kind: KindShip, Shard: ResidentShard{Fingerprint: 1, Shards: 2, Part: Partition{Part: 1}}}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Expect(KindReady); err != nil {

@@ -1,8 +1,8 @@
 package wire
 
-// The v3 frame codec: length-prefixed, CRC-32C-checksummed flat sections in
-// the .sgr style of internal/graph/snapshot.go, replacing gob's per-element
-// reflection with single-copy, exact-alloc decoding.
+// The frame codec: length-prefixed, CRC-32C-checksummed flat sections in
+// the .sgr style of internal/graph/snapshot.go, decoded single-copy with
+// exact allocations.
 //
 // Every frame is
 //
@@ -21,7 +21,8 @@ package wire
 // Batch payloads (partials, foreign, refresh, mirrors) are a u32 record
 // count followed by self-delimiting records, so a coordinator can route
 // individual records by scanning headers and copying raw bytes — no decode,
-// no re-encode. All integers are little-endian; floats are IEEE 754 bits.
+// no re-encode — and a worker can decode them into reused scratch. All
+// integers are little-endian; floats are IEEE 754 bits.
 
 import (
 	"compress/flate"
@@ -69,21 +70,13 @@ const (
 
 	// featCompress is the hello feature bit requesting per-frame compression.
 	featCompress uint32 = 1 << 0
-
-	// helloPadding zero-pads the hello payload so the whole frame exceeds the
-	// first message length a legacy gob decoder reads from it (the magic's
-	// 'S', 0x53, is a gob uvarint length of 83: with ≥ 84 bytes on the wire
-	// the old worker's decoder fails fast and answers/closes, letting the
-	// dialer fall back to gob; with fewer it would block for more bytes,
-	// indistinguishable from a busy worker until the hello deadline).
-	helloPadding = 56
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// errNotV3Frame marks bytes that are not a v3 frame (bad magic) — the
-// signature of a legacy gob peer, which the dialing side uses to fall back.
-var errNotV3Frame = errors.New("wire: not a v3 frame (bad magic)")
+// errBadMagic marks bytes that are not a frame at all: the peer speaks some
+// other protocol, or the stream lost sync.
+var errBadMagic = errors.New("wire: not a frame (bad magic)")
 
 // ---- little-endian append/read primitives ----
 
@@ -234,23 +227,9 @@ func (r *byteReader) vertexIDs(n int) []graph.VertexID {
 	return out
 }
 
-func (r *byteReader) vertexSims(n int) []core.VertexSim {
-	raw := r.bytes(n * 12)
-	if raw == nil || n == 0 {
-		return nil
-	}
-	out := make([]core.VertexSim, n)
-	for i := range out {
-		out[i].V = graph.VertexID(binary.LittleEndian.Uint32(raw[12*i:]))
-		out[i].Sim = math.Float64frombits(binary.LittleEndian.Uint64(raw[12*i+4:]))
-	}
-	return out
-}
-
-// vertexIDsInto and vertexSimsInto are the decode-into twins of vertexIDs /
-// vertexSims: they reuse dst's capacity so recurring decodes (the per-step
-// mirror refresh) stop allocating once the replica has seen its high-water
-// size.
+// The *Into decoders reuse dst's capacity, so recurring decodes (the
+// per-step mirror refresh) stop allocating once the replica has seen its
+// high-water size.
 func (r *byteReader) vertexIDsInto(dst []graph.VertexID, n int) []graph.VertexID {
 	raw := r.bytes(n * 4)
 	if raw == nil || n == 0 {
@@ -302,19 +281,6 @@ func (r *byteReader) predictionsInto(dst []core.Prediction, n int) []core.Predic
 	return dst
 }
 
-func (r *byteReader) pathCands(n int) []core.PathCand {
-	raw := r.bytes(n * 12)
-	if raw == nil || n == 0 {
-		return nil
-	}
-	out := make([]core.PathCand, n)
-	for i := range out {
-		out[i].Z = graph.VertexID(binary.LittleEndian.Uint32(raw[12*i:]))
-		out[i].S = math.Float64frombits(binary.LittleEndian.Uint64(raw[12*i+4:]))
-	}
-	return out
-}
-
 func (r *byteReader) predictions(n int) []core.Prediction {
 	raw := r.bytes(n * 12)
 	if raw == nil || n == 0 {
@@ -358,16 +324,6 @@ func (r *byteReader) bools(n int) []bool {
 			return nil
 		}
 	}
-	return out
-}
-
-func (r *byteReader) uint8s(n int) []uint8 {
-	raw := r.bytes(n)
-	if raw == nil {
-		return nil
-	}
-	out := make([]uint8, n)
-	copy(out, raw)
 	return out
 }
 
@@ -431,21 +387,9 @@ func ForEachPartialRecord(payload []byte, fn func(v graph.VertexID, rec []byte) 
 	return nil
 }
 
-// DecodePartialRecord decodes one record into an exact-alloc DistPartial.
-func DecodePartialRecord(rec []byte) (core.DistPartial, error) {
-	r := &byteReader{b: rec}
-	var dp core.DistPartial
-	dp.V = graph.VertexID(r.u32())
-	nN, nS, nC := r.u32(), r.u32(), r.u32()
-	dp.Nbrs = r.vertexIDs(r.count(nN, 4))
-	dp.Sims = r.vertexSims(r.count(nS, 12))
-	dp.Cands = r.pathCands(r.count(nC, 12))
-	return dp, r.done()
-}
-
-// decodePartialRecordInto appends the record's payload into dp's slices
+// DecodePartialRecordInto appends the record's payload into dp's slices
 // (shared apply scratch), without touching dp.V.
-func decodePartialRecordInto(rec []byte, dp *core.DistPartial) error {
+func DecodePartialRecordInto(rec []byte, dp *core.DistPartial) error {
 	r := &byteReader{b: rec}
 	r.u32() // vertex, already routed
 	nN, nS, nC := r.u32(), r.u32(), r.u32()
@@ -534,22 +478,8 @@ func ForEachStateRecord(payload []byte, fn func(v graph.VertexID, rec []byte) er
 	return nil
 }
 
-// DecodeStateRecord decodes one record into an exact-alloc VertexState.
-func DecodeStateRecord(rec []byte) (VertexState, error) {
-	r := &byteReader{b: rec}
-	var vs VertexState
-	vs.V = graph.VertexID(r.u32())
-	nN, nS, nT, nP := r.u32(), r.u32(), r.u32(), r.u32()
-	vs.Data.Nbrs = r.vertexIDs(r.count(nN, 4))
-	vs.Data.Sims = r.vertexSims(r.count(nS, 12))
-	vs.Data.TwoHop = r.pathCands(r.count(nT, 12))
-	vs.Data.Pred = r.predictions(r.count(nP, 12))
-	return vs, r.done()
-}
-
 // DecodeStateRecordInto decodes one record in place over d, reusing the slice
-// capacity left by the previous refresh of the same replica. Callers that need
-// an owned copy use DecodeStateRecord instead.
+// capacity left by the previous refresh of the same replica.
 func DecodeStateRecordInto(rec []byte, d *core.VData) (graph.VertexID, error) {
 	r := &byteReader{b: rec}
 	v := graph.VertexID(r.u32())
@@ -621,60 +551,6 @@ func (bb *BatchBuilder) Payload() []byte {
 	return bb.buf
 }
 
-// decodePartialBatch decodes a whole batch payload (Conn.Recv's Msg path).
-func decodePartialBatch(payload []byte) ([]core.DistPartial, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("wire: batch payload too short (%d bytes)", len(payload))
-	}
-	n := binary.LittleEndian.Uint32(payload)
-	if int64(n)*partialRecordHeader > int64(len(payload)-4) {
-		return nil, fmt.Errorf("wire: batch count %d exceeds payload", n)
-	}
-	var out []core.DistPartial
-	if n > 0 {
-		out = make([]core.DistPartial, 0, n)
-	}
-	err := ForEachPartialRecord(payload, func(_ graph.VertexID, rec []byte) error {
-		dp, err := DecodePartialRecord(rec)
-		if err != nil {
-			return err
-		}
-		out = append(out, dp)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// decodeStateBatch decodes a whole state batch payload.
-func decodeStateBatch(payload []byte) ([]VertexState, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("wire: batch payload too short (%d bytes)", len(payload))
-	}
-	n := binary.LittleEndian.Uint32(payload)
-	if int64(n)*stateRecordHeader > int64(len(payload)-4) {
-		return nil, fmt.Errorf("wire: batch count %d exceeds payload", n)
-	}
-	var out []VertexState
-	if n > 0 {
-		out = make([]VertexState, 0, n)
-	}
-	err := ForEachStateRecord(payload, func(_ graph.VertexID, rec []byte) error {
-		vs, err := DecodeStateRecord(rec)
-		if err != nil {
-			return err
-		}
-		out = append(out, vs)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ---- whole-message payload codecs ----
 
 // appendMsgPayload encodes m's payload for its kind and returns the flag
@@ -688,25 +564,12 @@ func appendMsgPayload(b []byte, m *Msg) ([]byte, byte, error) {
 	case KindHello:
 		b = appendU32(b, uint32(m.Version))
 		b = appendU32(b, m.Features)
-		for i := 0; i < helloPadding; i++ {
-			b = append(b, 0)
-		}
 	case KindShip:
 		b = appendShip(b, m)
 	case KindAttach:
 		b = appendAttach(b, m)
 	case KindReady, KindStepBegin, KindCollect:
 		// header-only
-	case KindPartials, KindForeign:
-		b = appendU32(b, uint32(len(m.Partials)))
-		for i := range m.Partials {
-			b = appendPartialRecord(b, &m.Partials[i])
-		}
-	case KindRefresh, KindMirrors:
-		b = appendU32(b, uint32(len(m.States)))
-		for i := range m.States {
-			b = appendStateRecord(b, m.States[i].V, &m.States[i].Data)
-		}
 	case KindResult:
 		b = appendResult(b, &m.Result)
 	case KindError:
@@ -725,12 +588,6 @@ func decodeMsgPayload(kind Kind, flags byte, step core.DistStep, payload []byte)
 		r := &byteReader{b: payload}
 		m.Version = int(r.u32())
 		m.Features = r.u32()
-		for _, x := range r.bytes(helloPadding) {
-			if x != 0 {
-				r.fail("nonzero hello padding byte %d", x)
-				break
-			}
-		}
 		if err := r.done(); err != nil {
 			return nil, err
 		}
@@ -746,18 +603,6 @@ func decodeMsgPayload(kind Kind, flags byte, step core.DistStep, payload []byte)
 		if len(payload) != 0 {
 			return nil, fmt.Errorf("wire: %s frame with %d payload bytes", kind, len(payload))
 		}
-	case KindPartials, KindForeign:
-		parts, err := decodePartialBatch(payload)
-		if err != nil {
-			return nil, err
-		}
-		m.Partials = parts
-	case KindRefresh, KindMirrors:
-		states, err := decodeStateBatch(payload)
-		if err != nil {
-			return nil, err
-		}
-		m.States = states
 	case KindResult:
 		if err := decodeResult(payload, &m.Result); err != nil {
 			return nil, err
@@ -765,7 +610,8 @@ func decodeMsgPayload(kind Kind, flags byte, step core.DistStep, payload []byte)
 	case KindError:
 		m.Err = string(payload)
 	default:
-		return nil, fmt.Errorf("wire: unknown frame kind %d", uint8(kind))
+		// Batch kinds are streamed raw (RecvRaw), never decoded whole.
+		return nil, fmt.Errorf("wire: unexpected %s frame", kind)
 	}
 	return m, nil
 }
@@ -795,10 +641,9 @@ func decodeJob(r *byteReader, j *JobSpec) {
 	j.Seed = r.u64()
 }
 
-// appendAttach encodes the attach handshake: version, job spec, fleet
-// identity and the sparse scoped entries — never the partition itself.
+// appendAttach encodes the attach handshake: job spec, fleet identity and
+// the sparse scoped entries — never the partition itself.
 func appendAttach(b []byte, m *Msg) []byte {
-	b = appendU32(b, uint32(m.Version))
 	b = appendJob(b, &m.Job)
 	a := &m.Attach
 	b = appendU64(b, a.Fingerprint)
@@ -824,7 +669,6 @@ func appendAttach(b []byte, m *Msg) []byte {
 
 func decodeAttach(payload []byte, m *Msg) error {
 	r := &byteReader{b: payload}
-	m.Version = int(r.u32())
 	decodeJob(r, &m.Job)
 	a := &m.Attach
 	a.Fingerprint = r.u64()
@@ -856,43 +700,35 @@ func decodeAttach(payload []byte, m *Msg) error {
 	return r.done()
 }
 
-// appendShip encodes the job spec and partition payload.
+// appendShip encodes a shard: fleet identity, then the partition columns.
 func appendShip(b []byte, m *Msg) []byte {
-	b = appendU32(b, uint32(m.Version))
-	b = appendJob(b, &m.Job)
-	p := &m.Part
+	sh := &m.Shard
+	p := &sh.Part
+	b = appendU64(b, sh.Fingerprint)
 	b = appendU32(b, uint32(p.Part))
+	b = appendU32(b, uint32(sh.Shards))
 	b = appendU32(b, uint32(p.NumVertices))
 	b = appendU32(b, uint32(len(p.Locals)))
 	b = appendU32(b, uint32(len(p.EdgeSrc)))
-	if p.Scope != nil {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
 	b = appendVertexIDs(b, p.Locals)
 	b = appendInt32s(b, p.Deg)
 	b = appendInt32s(b, p.EdgeSrc)
 	b = appendInt32s(b, p.EdgeDst)
 	b = appendBools(b, p.IsMaster)
 	b = appendBools(b, p.HasRemote)
-	b = append(b, p.Scope...)
 	return b
 }
 
 func decodeShip(payload []byte, m *Msg) error {
 	r := &byteReader{b: payload}
-	m.Version = int(r.u32())
-	decodeJob(r, &m.Job)
-	p := &m.Part
+	sh := &m.Shard
+	p := &sh.Part
+	sh.Fingerprint = r.u64()
 	p.Part = int(r.u32())
+	sh.Shards = int(r.u32())
 	p.NumVertices = int(r.u32())
 	nLocals := r.u32()
 	nEdges := r.u32()
-	hasScope := r.u8()
-	if hasScope > 1 {
-		r.fail("scope flag byte %d", hasScope)
-	}
 	// Minimum bytes per local: 4 (ID) + 4 (deg) + 1 (master) + 1 (remote).
 	nl := r.count(nLocals, 10)
 	ne := r.count(nEdges, 8)
@@ -902,9 +738,6 @@ func decodeShip(payload []byte, m *Msg) error {
 	p.EdgeDst = r.int32s(ne)
 	p.IsMaster = r.bools(nl)
 	p.HasRemote = r.bools(nl)
-	if hasScope == 1 {
-		p.Scope = r.uint8s(nl)
-	}
 	return r.done()
 }
 
@@ -953,7 +786,7 @@ func decodeResult(payload []byte, res *WorkerResult) error {
 
 // ---- frame I/O ----
 
-// writeFrame emits one v3 frame, deflating the payload when compression is
+// writeFrame emits one frame, deflating the payload when compression is
 // negotiated, the payload is worth it, and it actually shrinks. Hellos stay
 // plain so negotiation never depends on what it negotiates.
 func (c *Conn) writeFrame(kind Kind, flags byte, step core.DistStep, payload []byte) error {
@@ -994,7 +827,7 @@ func (c *Conn) writeFrame(kind Kind, flags byte, step core.DistStep, payload []b
 	return nil
 }
 
-// readFrame reads and verifies one v3 frame. The returned payload is a view
+// readFrame reads and verifies one frame. The returned payload is a view
 // into the connection's scratch, valid until the next read.
 func (c *Conn) readFrame() (kind Kind, flags byte, step core.DistStep, payload []byte, err error) {
 	hdr := c.rhdr[:]
@@ -1005,7 +838,7 @@ func (c *Conn) readFrame() (kind Kind, flags byte, step core.DistStep, payload [
 		return 0, 0, 0, nil, fmt.Errorf("wire: read frame header: %w", err)
 	}
 	if string(hdr[0:4]) != frameMagic {
-		return 0, 0, 0, nil, errNotV3Frame
+		return 0, 0, 0, nil, errBadMagic
 	}
 	if got, want := crc32.Checksum(hdr[:16], castagnoli), binary.LittleEndian.Uint32(hdr[16:]); got != want {
 		return 0, 0, 0, nil, fmt.Errorf("wire: frame header CRC mismatch (%08x != %08x)", got, want)

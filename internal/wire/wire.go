@@ -1,20 +1,27 @@
 // Package wire is the network substrate of the dist execution backend: the
-// framed binary protocol (v3) that a coordinator (engine.Dist) speaks with
+// framed binary protocol that a coordinator (engine.Fleet) speaks with
 // snaple-worker processes over TCP, plus the worker-side session loop
-// (worker.go) shared by cmd/snaple-worker and in-process test workers, and a
-// legacy gob protocol (v2) retained for mixed-version fleets.
+// (worker.go) shared by cmd/snaple-worker and in-process test workers.
 //
-// One TCP connection carries one prediction job. The ship/ready handshake
-// and the collect exchange are strictly half-duplex; inside a superstep the
-// v3 protocol pipelines — workers stream gather partials up in fixed-size
-// chunks while concurrently draining the foreign partials the coordinator
-// routes back, and likewise for the refresh/mirror round:
+// There is one protocol and one session model. Every job is an attach
+// against a shard the worker already holds. The shard comes from one of two
+// places: a packed shard file pinned for the worker's lifetime (-shard), or
+// a ship frame that installs it for the life of one connection. A
+// coordinator ships at most once per connection, then runs any number of
+// jobs over it. The ship/ready and attach/ready handshakes and the collect exchange
+// are strictly half-duplex; inside a superstep the protocol pipelines —
+// workers stream gather partials up in fixed-size chunks while concurrently
+// draining the foreign partials the coordinator routes back, and likewise
+// for the refresh/mirror round:
 //
 //	coordinator                       worker
 //	----------- hello ------------->          protocol + feature negotiation
 //	<---------- hello --------------          (granted features echoed back)
-//	----------- ship -------------->          partition payload + job spec
-//	<---------- ready --------------          (or error: bad payload/config)
+//	----------- ship -------------->          shard columns + fleet identity
+//	<---------- ready --------------          (non-resident workers only)
+//	per job:
+//	----------- attach ------------>          job spec + fingerprint (+ the
+//	<---------- ready --------------          sparse roles of a scoped job)
 //	then, per superstep:
 //	----------- step-begin -------->
 //	<>--------- partials/foreign --<>         chunked both ways concurrently;
@@ -26,28 +33,22 @@
 //	----------- collect ----------->
 //	<---------- result -------------          master predictions + stats
 //
-// v3 frames are length-prefixed, CRC-32C-checksummed flat sections (see
-// frame.go for the exact layout); batch payloads decode as single-copy,
-// exact-alloc slices, and the coordinator routes individual records without
-// decoding them at all. Optional per-frame flate compression is negotiated
-// through the hello feature bits.
-//
-// A v3 dialer recognises a legacy gob peer (the hello reply is not a v3
-// frame) and redials speaking v2, unless pinned to v3; a v3 listener peeks
-// the first four bytes and serves gob when they are not the frame magic.
-// Old coordinators and workers therefore interoperate with new ones in
-// either direction, at the legacy protocol's cost.
+// Frames are length-prefixed, CRC-32C-checksummed flat sections (see
+// frame.go for the exact layout); batch payloads travel raw — the
+// coordinator routes individual records without decoding them, and workers
+// decode them into reused scratch. Optional per-frame flate compression is
+// negotiated through the hello feature bits. Bytes that are not a frame get
+// a typed error frame in reply and end the session.
 //
 // Conn counts bytes and messages in both directions: the dist backend's
 // Stats.CrossBytes/CrossMsgs are measured on the wire (everything after the
-// ship phase), not simulated like the sim backend's.
+// attach), not simulated like the sim backend's.
 package wire
 
 import (
 	"bufio"
 	"bytes"
 	"compress/flate"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -60,38 +61,35 @@ import (
 	"snaple/internal/graph"
 )
 
-// Protocol versions. A worker rejects a ship whose version differs from the
-// one its connection negotiated — version skew must fail loudly, not
-// silently change semantics (v2 itself exists because query scoping did).
-const (
-	// ProtocolV2 is the legacy gob envelope protocol.
-	ProtocolV2 = 2
-	// ProtocolV3 is the framed binary protocol (frame.go).
-	ProtocolV3 = 3
-)
+// ProtocolV3 is the protocol version both ends announce in their hellos.
+// A peer announcing anything else is refused: version skew must fail
+// loudly, not silently change semantics.
+const ProtocolV3 = 3
 
-// Kind discriminates the Msg envelope and the v3 frame header.
+// Kind discriminates the Msg envelope and the frame header.
 type Kind uint8
 
 const (
-	// KindShip carries the job spec and partition payload (coordinator → worker).
+	// KindShip installs a shard on a non-resident worker for the life of
+	// the connection (coordinator → worker): the partition columns plus the
+	// fleet fingerprint, shard index and shard count. It carries no job.
 	KindShip Kind = iota + 1
-	// KindReady acknowledges a ship (worker → coordinator).
+	// KindReady acknowledges a ship or an attach (worker → coordinator).
 	KindReady
 	// KindStepBegin starts a superstep (coordinator → worker).
 	KindStepBegin
 	// KindPartials carries gather partials for vertices mastered elsewhere
-	// (worker → coordinator). On v3 a superstep sends any number of chunks,
-	// the last one final-flagged.
+	// (worker → coordinator). A superstep sends any number of chunks, the
+	// last one final-flagged.
 	KindPartials
 	// KindForeign carries partials routed from other partitions for vertices
-	// mastered here (coordinator → worker). Chunked like KindPartials on v3.
+	// mastered here (coordinator → worker). Chunked like KindPartials.
 	KindForeign
 	// KindRefresh carries refreshed master state for vertices with remote
-	// mirrors (worker → coordinator). Chunked on v3.
+	// mirrors (worker → coordinator). Chunked.
 	KindRefresh
 	// KindMirrors carries refreshed state routed to this partition's mirror
-	// copies (coordinator → worker). Chunked on v3.
+	// copies (coordinator → worker). Chunked.
 	KindMirrors
 	// KindCollect requests the final results (coordinator → worker).
 	KindCollect
@@ -100,13 +98,14 @@ const (
 	KindResult
 	// KindError aborts the session; Err holds the cause (either direction).
 	KindError
-	// KindHello opens a v3 connection in both directions: the dialer's
-	// requested version and feature bits, answered with the granted ones.
+	// KindHello opens a connection in both directions: the dialer's
+	// protocol version and requested feature bits, answered with the
+	// granted ones.
 	KindHello
-	// KindAttach starts a job on a resident worker — one that pinned its
-	// partition at startup from a packed shard file. It carries the job spec
-	// plus the fleet fingerprint and (for scoped runs) the sparse per-vertex
-	// scope/role entries, in place of KindShip's full partition payload.
+	// KindAttach starts a job against the shard the worker holds — pinned
+	// at startup or installed by this connection's ship. It carries the job
+	// spec plus the fleet fingerprint and (for scoped runs) the sparse
+	// per-vertex scope/role entries.
 	KindAttach
 )
 
@@ -193,11 +192,6 @@ type Partition struct {
 	// HasRemote marks local masters that are replicated on other partitions
 	// and therefore must broadcast refreshed state after each apply.
 	HasRemote []bool
-	// Scope holds each local vertex's frontier scope mask on a query-scoped
-	// run (core.Scope* bits, aligned with Locals); nil for a full run. The
-	// coordinator derives it from the global closure so workers never need
-	// the source list, let alone the graph.
-	Scope []uint8
 }
 
 // Validate checks the payload's internal consistency (lengths and index
@@ -214,8 +208,6 @@ func (p *Partition) Validate() error {
 		return fmt.Errorf("wire: %d remote flags for %d locals", len(p.HasRemote), len(p.Locals))
 	case len(p.EdgeSrc) != len(p.EdgeDst):
 		return fmt.Errorf("wire: %d edge sources, %d edge targets", len(p.EdgeSrc), len(p.EdgeDst))
-	case p.Scope != nil && len(p.Scope) != len(p.Locals):
-		return fmt.Errorf("wire: %d scope masks for %d locals", len(p.Scope), len(p.Locals))
 	}
 	for i := range p.EdgeSrc {
 		if p.EdgeSrc[i] < 0 || int(p.EdgeSrc[i]) >= len(p.Locals) ||
@@ -280,16 +272,17 @@ func IsManifestMismatch(err error) bool {
 	return err != nil && IsRemoteError(err) && strings.Contains(err.Error(), manifestMismatchText)
 }
 
-// ResidentShard is the partition a resident worker pins at startup: the
-// payload a KindShip would carry, loaded once from a packed shard file, plus
-// the fleet identity the attach handshake verifies.
+// ResidentShard is the partition a worker holds: pinned for the process
+// from a packed shard file, or installed for one connection by a KindShip
+// (whose payload it is). It carries the fleet identity every attach
+// verifies.
 type ResidentShard struct {
-	// Fingerprint identifies the (graph, cut) the shard was packed from.
+	// Fingerprint identifies the (graph, cut) the shard was cut from.
 	Fingerprint uint64
 	// Shards is the fleet width of the cut.
 	Shards int
-	// Part is the pinned partition with its baked full-run roles; Part.Part
-	// is this worker's shard index.
+	// Part is the partition with its baked full-run roles; Part.Part is the
+	// shard index.
 	Part Partition
 }
 
@@ -311,13 +304,6 @@ func ResidentFromShard(s *graph.ShardFile) *ResidentShard {
 			HasRemote:   s.HasRemote,
 		},
 	}
-}
-
-// VertexState pairs a vertex with its full replica state, for master→mirror
-// refreshes.
-type VertexState struct {
-	V    graph.VertexID
-	Data core.VData
 }
 
 // VertexPreds pairs a vertex with its final predictions — the collect-phase
@@ -349,29 +335,27 @@ type WorkerResult struct {
 	Stats WorkerStats
 }
 
-// Msg is the single envelope every wire exchange uses. Kind selects which
-// payload fields are meaningful; the rest stay zero and cost nothing on the
-// wire (v3 encodes only the kind's payload; gob omits zero-valued fields).
+// Msg is the envelope of every non-batch exchange. Kind selects which
+// payload fields are meaningful; only the kind's payload is encoded. The
+// batch kinds (partials, foreign, refresh, mirrors) never travel as a Msg:
+// they are streamed raw through SendRaw/RecvRaw.
 type Msg struct {
 	Kind     Kind
-	Version  int    // KindShip, KindAttach, KindHello
+	Version  int    // KindHello
 	Features uint32 // KindHello: requested/granted feature bits
 	Job      JobSpec
-	Part     Partition  // KindShip
-	Attach   AttachSpec // KindAttach
+	Shard    ResidentShard // KindShip
+	Attach   AttachSpec    // KindAttach
 	Step     core.DistStep
-	// Final marks the last superstep on KindStepBegin (no refresh/mirror
-	// round follows) and the last chunk of a v3 streaming phase on
-	// KindPartials/KindForeign/KindRefresh/KindMirrors.
-	Final    bool
-	Partials []core.DistPartial // KindPartials, KindForeign
-	States   []VertexState      // KindRefresh, KindMirrors
-	Result   WorkerResult       // KindResult
-	Err      string             // KindError
+	// Final marks the last superstep on KindStepBegin: no refresh/mirror
+	// round follows.
+	Final  bool
+	Result WorkerResult // KindResult
+	Err    string       // KindError
 }
 
-// RawFrame is one received v3 frame with its payload left encoded — the
-// coordinator's routing input. Payload is a view into the connection's
+// RawFrame is one received frame with its payload left encoded — the
+// routing and streaming input. Payload is a view into the connection's
 // scratch, valid only until the next Recv or RecvRaw.
 type RawFrame struct {
 	Kind    Kind
@@ -427,24 +411,19 @@ var errRemote = errors.New("remote error")
 // means the worker is dead.
 func IsRemoteError(err error) bool { return errors.Is(err, errRemote) }
 
-// Conn is a message stream over a transport, speaking either the v3 frame
-// protocol or the legacy gob protocol, with traffic counting. It is not safe
-// for concurrent Sends or concurrent Recvs, but one sender and one receiver
-// may run concurrently — the v3 supersteps pipeline exactly that way.
+// Conn is a framed message stream over a transport, with traffic counting.
+// It is not safe for concurrent Sends or concurrent Recvs, but one sender
+// and one receiver may run concurrently — the supersteps pipeline exactly
+// that way.
 type Conn struct {
 	crw    *countingRW
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	closer io.Closer
 
-	proto    int
 	compress bool
 
-	// gob machinery (v2 only), built lazily so v3 connections never pay for it.
-	genc *gob.Encoder
-	gdec *gob.Decoder
-
-	// v3 scratch, reused across frames.
+	// Frame scratch, reused across frames.
 	whdr   [frameHeaderSize]byte
 	rhdr   [frameHeaderSize]byte
 	rdBuf  []byte // wire payload
@@ -456,9 +435,9 @@ type Conn struct {
 	fr     io.ReadCloser
 }
 
-// NewConn wraps a transport (net.Conn in production, net.Pipe in tests) in
-// the v3 frame protocol, without a hello exchange — both ends must already
-// agree (Dial/Serve negotiate; tests pair NewConn with NewConn).
+// NewConn wraps a transport (net.Conn in production, net.Pipe in tests)
+// without a hello exchange — both ends must already agree (Dial/Serve
+// negotiate; tests pair NewConn with NewConn).
 func NewConn(rwc io.ReadWriteCloser) *Conn {
 	crw := &countingRW{rw: rwc}
 	return &Conn{
@@ -466,76 +445,36 @@ func NewConn(rwc io.ReadWriteCloser) *Conn {
 		br:     bufio.NewReader(crw),
 		bw:     bufio.NewWriter(crw),
 		closer: rwc,
-		proto:  ProtocolV3,
 	}
 }
 
-// NewGobConn wraps a transport in the legacy gob protocol (v2).
-func NewGobConn(rwc io.ReadWriteCloser) *Conn {
-	c := NewConn(rwc)
-	c.downgradeGob()
-	return c
-}
-
-// downgradeGob switches a fresh connection to the gob protocol. Reads go
-// through the existing bufio.Reader, so bytes peeked during negotiation are
-// preserved.
-func (c *Conn) downgradeGob() *Conn {
-	c.proto = ProtocolV2
-	return c
-}
-
-// Proto returns the connection's protocol version (ProtocolV2 or ProtocolV3).
-func (c *Conn) Proto() int { return c.proto }
-
-// SetCompression toggles per-frame flate compression on a v3 connection.
-// Production connections negotiate it via the hello feature bits; this is
-// for endpoints created with NewConn directly (tests, benches).
+// SetCompression toggles per-frame flate compression. Production
+// connections negotiate it via the hello feature bits; this is for
+// endpoints created with NewConn directly (tests, benches).
 func (c *Conn) SetCompression(on bool) {
-	c.compress = on && c.proto == ProtocolV3
-	if c.compress {
+	c.compress = on
+	if on {
 		c.preallocCompression()
 	}
 }
 
 // DialOptions configures DialWith.
 type DialOptions struct {
-	// Proto pins the protocol: 0 negotiates (v3 preferred, gob fallback for
-	// legacy workers), ProtocolV2 forces gob, ProtocolV3 requires v3 and
-	// fails on a legacy peer.
-	Proto int
-	// Compress requests per-frame flate compression (v3 only, subject to
-	// the worker granting it).
+	// Compress requests per-frame flate compression, subject to the worker
+	// granting it.
 	Compress bool
 	// HelloTimeout bounds the version handshake (default 2 minutes — a
-	// worker busy with another session answers nothing at all, and that must
-	// surface as an error, not a hang).
+	// worker that never answers must surface as an error, not a hang).
 	HelloTimeout time.Duration
 }
 
-// Dial connects to a worker address, negotiating the newest protocol both
-// ends speak.
+// Dial connects to a worker address and runs the hello handshake.
 func Dial(addr string) (*Conn, error) {
 	return DialWith(addr, DialOptions{})
 }
 
-// DialWith connects to a worker address with explicit protocol options.
+// DialWith connects to a worker address with explicit options.
 func DialWith(addr string, o DialOptions) (*Conn, error) {
-	switch o.Proto {
-	case 0, ProtocolV2, ProtocolV3:
-	default:
-		return nil, fmt.Errorf("wire: unsupported protocol %d", o.Proto)
-	}
-	dialGob := func() (*Conn, error) {
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
-		}
-		return NewGobConn(nc), nil
-	}
-	if o.Proto == ProtocolV2 {
-		return dialGob()
-	}
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
@@ -543,25 +482,15 @@ func DialWith(addr string, o DialOptions) (*Conn, error) {
 	c := NewConn(nc)
 	if err := c.hello(o); err != nil {
 		c.Close()
-		var nerr net.Error
-		switch {
-		case errors.As(err, &nerr) && nerr.Timeout():
-			// A busy worker, not an old one: the ship would hang the same way.
-			return nil, fmt.Errorf("wire: hello to %s: %w", addr, err)
-		case errors.Is(err, errRemote):
-			// The peer understood us and said no.
-			return nil, err
-		case o.Proto == ProtocolV3:
-			return nil, fmt.Errorf("wire: %s speaks the legacy gob protocol (v2) or is unreachable, and protocol v3 was required: %v", addr, err)
+		if errors.Is(err, errRemote) {
+			return nil, err // the peer understood us and said no
 		}
-		// Anything else — bad magic, EOF, a reset from a gob decoder choking
-		// on our frame — is the signature of a legacy worker: redial in v2.
-		return dialGob()
+		return nil, fmt.Errorf("wire: hello to %s: %w", addr, err)
 	}
 	return c, nil
 }
 
-// hello runs the dialer's half of the v3 negotiation.
+// hello runs the dialer's half of the negotiation.
 func (c *Conn) hello(o DialOptions) error {
 	t := o.HelloTimeout
 	if t == 0 {
@@ -576,15 +505,12 @@ func (c *Conn) hello(o DialOptions) error {
 	if err := c.Send(&Msg{Kind: KindHello, Version: ProtocolV3, Features: feat}); err != nil {
 		return err
 	}
-	m, err := c.Recv()
+	m, err := c.Expect(KindHello)
 	if err != nil {
 		return err
 	}
-	if m.Kind != KindHello {
-		return fmt.Errorf("wire: expected hello reply, got %s", m.Kind)
-	}
 	if m.Version != ProtocolV3 {
-		return fmt.Errorf("wire: peer negotiated protocol %d, expected %d", m.Version, ProtocolV3)
+		return fmt.Errorf("wire: peer speaks protocol %d, expected %d", m.Version, ProtocolV3)
 	}
 	if o.Compress && m.Features&featCompress != 0 {
 		c.compress = true
@@ -593,23 +519,12 @@ func (c *Conn) hello(o DialOptions) error {
 	return nil
 }
 
-// accept runs the listener's half of the negotiation: peek the first bytes,
-// answer a v3 hello with the granted features, or fall back to gob for a
-// legacy coordinator (the peeked bytes stay buffered for its decoder).
-// On error the partially-negotiated conn is returned alongside it when one
-// exists, so the caller can report the failure to the peer before closing.
-func accept(rwc io.ReadWriteCloser, o ServeOptions) (*Conn, error) {
-	if o.MaxProto == ProtocolV2 {
-		return NewGobConn(rwc), nil
-	}
+// accept runs the listener's half of the negotiation: answer the dialer's
+// hello with the granted features. Bytes that are not a hello frame fail the
+// handshake with a typed error. On error the conn is returned alongside it,
+// so the caller can report the failure to the peer before closing.
+func accept(rwc io.ReadWriteCloser) (*Conn, error) {
 	c := NewConn(rwc)
-	magic, err := c.br.Peek(len(frameMagic))
-	if err != nil {
-		return c, fmt.Errorf("wire: handshake peek: %w", err)
-	}
-	if string(magic) != frameMagic {
-		return c.downgradeGob(), nil
-	}
 	m, err := c.Expect(KindHello)
 	if err != nil {
 		return c, err
@@ -630,19 +545,6 @@ func accept(rwc io.ReadWriteCloser, o ServeOptions) (*Conn, error) {
 
 // Send encodes one message.
 func (c *Conn) Send(m *Msg) error {
-	if c.proto == ProtocolV2 {
-		if c.genc == nil {
-			c.genc = gob.NewEncoder(c.bw)
-		}
-		if err := c.genc.Encode(m); err != nil {
-			return fmt.Errorf("wire: send %s: %w", m.Kind, err)
-		}
-		if err := c.bw.Flush(); err != nil {
-			return fmt.Errorf("wire: send %s: %w", m.Kind, err)
-		}
-		c.crw.msgOut.Add(1)
-		return nil
-	}
 	payload, flags, err := appendMsgPayload(c.encBuf[:0], m)
 	if err != nil {
 		return err
@@ -651,13 +553,10 @@ func (c *Conn) Send(m *Msg) error {
 	return c.writeFrame(m.Kind, flags, m.Step, payload)
 }
 
-// SendRaw sends a pre-encoded batch payload as one v3 frame, final-flagged
+// SendRaw sends a pre-encoded batch payload as one frame, final-flagged
 // when it ends the phase — the zero-copy path workers and the coordinator
 // stream chunks through.
 func (c *Conn) SendRaw(kind Kind, step core.DistStep, final bool, payload []byte) error {
-	if c.proto != ProtocolV3 {
-		return fmt.Errorf("wire: SendRaw on a v%d connection", c.proto)
-	}
 	var flags byte
 	if final {
 		flags |= flagFinal
@@ -665,27 +564,9 @@ func (c *Conn) SendRaw(kind Kind, step core.DistStep, final bool, payload []byte
 	return c.writeFrame(kind, flags, step, payload)
 }
 
-// Recv decodes the next message into a fresh envelope. (Both protocols
-// allocate exactly the message's payload; gob additionally merges into
-// presized fields, so reusing an envelope would leak state across messages.)
+// Recv decodes the next message into a fresh envelope, allocating exactly
+// the message's payload.
 func (c *Conn) Recv() (*Msg, error) {
-	if c.proto == ProtocolV2 {
-		if c.gdec == nil {
-			c.gdec = gob.NewDecoder(c.br)
-		}
-		m := new(Msg)
-		if err := c.gdec.Decode(m); err != nil {
-			if err == io.EOF {
-				return nil, err
-			}
-			return nil, fmt.Errorf("wire: recv: %w", err)
-		}
-		c.crw.msgIn.Add(1)
-		if m.Kind == KindError {
-			return m, fmt.Errorf("wire: %w: %s", errRemote, m.Err)
-		}
-		return m, nil
-	}
 	kind, flags, step, payload, err := c.readFrame()
 	if err != nil {
 		if err == io.EOF {
@@ -703,12 +584,9 @@ func (c *Conn) Recv() (*Msg, error) {
 	return m, nil
 }
 
-// RecvRaw reads the next v3 frame without decoding its payload. An error
+// RecvRaw reads the next frame without decoding its payload. An error
 // frame surfaces as an error, like Recv's.
 func (c *Conn) RecvRaw() (RawFrame, error) {
-	if c.proto != ProtocolV3 {
-		return RawFrame{}, fmt.Errorf("wire: RecvRaw on a v%d connection", c.proto)
-	}
 	kind, flags, step, payload, err := c.readFrame()
 	if err != nil {
 		if err == io.EOF {
@@ -737,8 +615,7 @@ func (c *Conn) Expect(kind Kind) (*Msg, error) {
 // SetDeadline bounds every pending and future Send/Recv when the transport
 // supports deadlines (net.Conn and net.Pipe do; a transport that does not is
 // silently unbounded). The zero time clears the deadline. Coordinators use
-// it to keep a handshake against a busy worker — one already serving another
-// session never reads the next hello or ship — from hanging forever.
+// it to keep a handshake against a wedged worker from hanging forever.
 func (c *Conn) SetDeadline(t time.Time) error {
 	if d, ok := c.closer.(interface{ SetDeadline(time.Time) error }); ok {
 		return d.SetDeadline(t)

@@ -1,10 +1,10 @@
 package wire
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
-	"strings"
 	"testing"
 
 	"snaple/internal/core"
@@ -29,25 +29,14 @@ func zipPair(t *testing.T) (*Conn, *Conn) {
 	return ca, cb
 }
 
-// gobPair returns two ends of a legacy (v2) message stream.
-func gobPair(t *testing.T) (*Conn, *Conn) {
-	t.Helper()
-	a, b := net.Pipe()
-	ca, cb := NewGobConn(a), NewGobConn(b)
-	t.Cleanup(func() { ca.Close(); cb.Close() })
-	return ca, cb
-}
-
 // protoPairs lists the encoder/decoder pairings every lossless-codec test
-// runs through: the v3 frame protocol plain and compressed, and the legacy
-// gob protocol.
+// runs through: the frame protocol plain and compressed.
 var protoPairs = []struct {
 	name string
 	pair func(t *testing.T) (*Conn, *Conn)
 }{
 	{"v3", pipePair},
 	{"v3-flate", zipPair},
-	{"gob", gobPair},
 }
 
 // roundTrip pushes m through a real encoder/decoder pair and returns the
@@ -67,43 +56,10 @@ func roundTrip(t *testing.T, m *Msg, pair func(t *testing.T) (*Conn, *Conn)) *Ms
 	return got
 }
 
-// normalize maps empty slices to nil recursively via gob's own convention:
-// gob does not distinguish nil from empty, so lossless means "equal after
+// normalizeMsg maps empty slices to nil: the codec does not distinguish a
+// nil slice from an empty one, so lossless means "equal after
 // normalization".
 func normalizeMsg(m *Msg) {
-	if len(m.Partials) == 0 {
-		m.Partials = nil
-	}
-	for i := range m.Partials {
-		p := &m.Partials[i]
-		if len(p.Nbrs) == 0 {
-			p.Nbrs = nil
-		}
-		if len(p.Sims) == 0 {
-			p.Sims = nil
-		}
-		if len(p.Cands) == 0 {
-			p.Cands = nil
-		}
-	}
-	if len(m.States) == 0 {
-		m.States = nil
-	}
-	for i := range m.States {
-		d := &m.States[i].Data
-		if len(d.Nbrs) == 0 {
-			d.Nbrs = nil
-		}
-		if len(d.Sims) == 0 {
-			d.Sims = nil
-		}
-		if len(d.TwoHop) == 0 {
-			d.TwoHop = nil
-		}
-		if len(d.Pred) == 0 {
-			d.Pred = nil
-		}
-	}
 	if len(m.Result.Preds) == 0 {
 		m.Result.Preds = nil
 	}
@@ -112,7 +68,7 @@ func normalizeMsg(m *Msg) {
 			m.Result.Preds[i].Preds = nil
 		}
 	}
-	p := &m.Part
+	p := &m.Shard.Part
 	if len(p.Locals) == 0 {
 		p.Locals = nil
 	}
@@ -134,8 +90,7 @@ func normalizeMsg(m *Msg) {
 }
 
 // checkLossless asserts that a message survives the wire bit for bit on
-// every protocol pairing (modulo the shared nil/empty unification: neither
-// codec distinguishes a nil slice from an empty one).
+// every protocol pairing (modulo the nil/empty unification).
 func checkLossless(t *testing.T, m *Msg) {
 	t.Helper()
 	want := *m
@@ -147,6 +102,131 @@ func checkLossless(t *testing.T, m *Msg) {
 			t.Fatalf("%s round trip lost data:\nsent %+v\ngot  %+v", pp.name, &want, got)
 		}
 	}
+}
+
+// vstate is one state-batch record: a vertex and its replica state.
+type vstate struct {
+	V    graph.VertexID
+	Data core.VData
+}
+
+// rawRoundTrip streams one batch payload through a real encoder/decoder
+// pair as a single final-flagged frame and returns the received frame.
+func rawRoundTrip(t *testing.T, kind Kind, step core.DistStep, payload []byte, pair func(t *testing.T) (*Conn, *Conn)) RawFrame {
+	t.Helper()
+	ca, cb := pair(t)
+	errc := make(chan error, 1)
+	go func() { errc <- ca.SendRaw(kind, step, true, payload) }()
+	f, err := cb.RecvRaw()
+	if err != nil {
+		t.Fatalf("recv: %v", err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if f.Kind != kind || f.Step != step || !f.Final {
+		t.Fatalf("frame header %s/%v/final=%v, sent %s/%v/final=true", f.Kind, f.Step, f.Final, kind, step)
+	}
+	return f
+}
+
+// checkPartialsLossless asserts that a partial batch survives the raw
+// stream path bit for bit: encoded by a BatchBuilder, routed as raw
+// records, and decoded the way a worker decodes foreign partials.
+func checkPartialsLossless(t *testing.T, kind Kind, step core.DistStep, partials []core.DistPartial) {
+	t.Helper()
+	var bb BatchBuilder
+	bb.Reset()
+	for i := range partials {
+		bb.AppendPartial(&partials[i])
+	}
+	for _, pp := range protoPairs {
+		f := rawRoundTrip(t, kind, step, bb.Payload(), pp.pair)
+		var got []core.DistPartial
+		err := ForEachPartialRecord(f.Payload, func(v graph.VertexID, rec []byte) error {
+			dp := core.DistPartial{V: v}
+			if err := DecodePartialRecordInto(rec, &dp); err != nil {
+				return err
+			}
+			got = append(got, dp)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", pp.name, err)
+		}
+		if len(got) != len(partials) {
+			t.Fatalf("%s: %d records, sent %d", pp.name, len(got), len(partials))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(normPartial(partials[i]), normPartial(got[i])) {
+				t.Fatalf("%s: record %d lost data:\nsent %+v\ngot  %+v", pp.name, i, partials[i], got[i])
+			}
+		}
+	}
+}
+
+// checkStatesLossless is checkPartialsLossless for state batches, decoded
+// the way a worker applies mirror refreshes.
+func checkStatesLossless(t *testing.T, kind Kind, step core.DistStep, states []vstate) {
+	t.Helper()
+	var bb BatchBuilder
+	bb.Reset()
+	for i := range states {
+		bb.AppendState(states[i].V, &states[i].Data)
+	}
+	for _, pp := range protoPairs {
+		f := rawRoundTrip(t, kind, step, bb.Payload(), pp.pair)
+		var got []vstate
+		err := ForEachStateRecord(f.Payload, func(v graph.VertexID, rec []byte) error {
+			var d core.VData
+			if _, err := DecodeStateRecordInto(rec, &d); err != nil {
+				return err
+			}
+			got = append(got, vstate{V: v, Data: d})
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", pp.name, err)
+		}
+		if len(got) != len(states) {
+			t.Fatalf("%s: %d records, sent %d", pp.name, len(got), len(states))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(normState(states[i]), normState(got[i])) {
+				t.Fatalf("%s: record %d lost data:\nsent %+v\ngot  %+v", pp.name, i, states[i], got[i])
+			}
+		}
+	}
+}
+
+func normPartial(dp core.DistPartial) core.DistPartial {
+	if len(dp.Nbrs) == 0 {
+		dp.Nbrs = nil
+	}
+	if len(dp.Sims) == 0 {
+		dp.Sims = nil
+	}
+	if len(dp.Cands) == 0 {
+		dp.Cands = nil
+	}
+	return dp
+}
+
+func normState(vs vstate) vstate {
+	d := &vs.Data
+	if len(d.Nbrs) == 0 {
+		d.Nbrs = nil
+	}
+	if len(d.Sims) == 0 {
+		d.Sims = nil
+	}
+	if len(d.TwoHop) == 0 {
+		d.TwoHop = nil
+	}
+	if len(d.Pred) == 0 {
+		d.Pred = nil
+	}
+	return vs
 }
 
 // randPartition generates a partition payload. n=0 produces the empty
@@ -169,13 +249,6 @@ func randPartition(r *rand.Rand, n int, hub bool) Partition {
 		p.Deg = append(p.Deg, int32(r.Intn(1000)))
 		p.IsMaster = append(p.IsMaster, r.Intn(2) == 0)
 		p.HasRemote = append(p.HasRemote, r.Intn(2) == 0)
-	}
-	if r.Intn(2) == 0 {
-		// Query-scoped ship: per-local frontier masks ride along.
-		p.Scope = make([]uint8, len(p.Locals))
-		for i := range p.Scope {
-			p.Scope[i] = uint8(r.Intn(16))
-		}
 	}
 	edges := r.Intn(4 * len(p.Locals))
 	if hub {
@@ -217,11 +290,11 @@ func randPartials(r *rand.Rand, kind int) []core.DistPartial {
 	return out
 }
 
-func randStates(r *rand.Rand) []VertexState {
+func randStates(r *rand.Rand) []vstate {
 	n := r.Intn(10)
-	out := make([]VertexState, 0, n)
+	out := make([]vstate, 0, n)
 	for i := 0; i < n; i++ {
-		vs := VertexState{V: graph.VertexID(r.Uint32())}
+		vs := vstate{V: graph.VertexID(r.Uint32())}
 		for j := r.Intn(10); j > 0; j-- {
 			vs.Data.Nbrs = append(vs.Data.Nbrs, graph.VertexID(r.Uint32()))
 		}
@@ -239,11 +312,10 @@ func randStates(r *rand.Rand) []VertexState {
 	return out
 }
 
-// TestShipRoundTrip property-tests that subgraph shipping is lossless,
+// TestShipRoundTrip property-tests that shard shipping is lossless,
 // including the empty partition and hub-vertex skew.
 func TestShipRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	job := JobSpec{Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Paths: 2, Seed: 42}
 	cases := []Partition{
 		randPartition(r, 0, false),   // empty partition
 		randPartition(r, 1, false),   // single vertex
@@ -253,27 +325,8 @@ func TestShipRoundTrip(t *testing.T) {
 		cases = append(cases, randPartition(r, 1+r.Intn(200), false))
 	}
 	for _, part := range cases {
-		checkLossless(t, &Msg{Kind: KindShip, Version: ProtocolV3, Job: job, Part: part})
-	}
-}
-
-// TestPartitionValidateScope pins the scope-mask length check: a scoped
-// ship whose masks do not align with the local table is rejected before the
-// worker builds anything from it.
-func TestPartitionValidateScope(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	p := randPartition(r, 50, false)
-	p.Scope = nil
-	if err := p.Validate(); err != nil {
-		t.Fatalf("nil scope rejected: %v", err)
-	}
-	p.Scope = make([]uint8, len(p.Locals))
-	if err := p.Validate(); err != nil {
-		t.Fatalf("aligned scope rejected: %v", err)
-	}
-	p.Scope = append(p.Scope, 0)
-	if err := p.Validate(); err == nil {
-		t.Fatal("misaligned scope accepted")
+		shard := ResidentShard{Fingerprint: r.Uint64(), Shards: part.Part + 1 + r.Intn(4), Part: part}
+		checkLossless(t, &Msg{Kind: KindShip, Shard: shard})
 	}
 }
 
@@ -281,12 +334,12 @@ func TestPartitionValidateScope(t *testing.T) {
 // gather payload types, including the empty batch.
 func TestPartialRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	checkLossless(t, &Msg{Kind: KindPartials, Step: core.DistTruncate}) // empty
+	checkPartialsLossless(t, KindPartials, core.DistTruncate, nil) // empty
 	for i := 0; i < 30; i++ {
 		kind := i % 3
 		step := []core.DistStep{core.DistTruncate, core.DistRelays, core.DistCombine}[kind]
-		checkLossless(t, &Msg{Kind: KindPartials, Step: step, Partials: randPartials(r, kind)})
-		checkLossless(t, &Msg{Kind: KindForeign, Step: step, Partials: randPartials(r, kind)})
+		checkPartialsLossless(t, KindPartials, step, randPartials(r, kind))
+		checkPartialsLossless(t, KindForeign, step, randPartials(r, kind))
 	}
 }
 
@@ -295,7 +348,7 @@ func TestPartialRoundTrip(t *testing.T) {
 func TestStateAndResultRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for i := 0; i < 20; i++ {
-		checkLossless(t, &Msg{Kind: KindRefresh, Step: core.DistRelays, States: randStates(r)})
+		checkStatesLossless(t, KindRefresh, core.DistRelays, randStates(r))
 		res := WorkerResult{
 			Part: r.Intn(8),
 			Stats: WorkerStats{
@@ -418,35 +471,48 @@ func serveWorkers(t *testing.T, o ServeOptions) string {
 	return l.Addr().String()
 }
 
-// runMiniSession drives a complete (zero-superstep) session over c: ship an
-// empty partition, await ready, collect the result. It proves the negotiated
-// protocol actually works end to end, not just that the handshake returned.
-func runMiniSession(t *testing.T, c *Conn) {
-	t.Helper()
-	job := JobSpec{Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Paths: 2, Seed: 42}
-	ship := &Msg{Kind: KindShip, Version: c.Proto(), Job: job, Part: Partition{Part: 3}}
+// miniSession drives a complete (zero-superstep) session over c: ship an
+// empty shard for slot part of 8, attach a job to it, collect the result. It
+// proves the negotiated connection actually works end to end, not just that
+// the handshake returned.
+func miniSession(c *Conn, part int) error {
+	ship := &Msg{Kind: KindShip, Shard: ResidentShard{Fingerprint: 0xfeed, Shards: 8, Part: Partition{Part: part}}}
 	if err := c.Send(ship); err != nil {
-		t.Fatalf("ship: %v", err)
+		return fmt.Errorf("ship: %w", err)
 	}
 	if _, err := c.Expect(KindReady); err != nil {
-		t.Fatalf("ready: %v", err)
+		return fmt.Errorf("ready: %w", err)
+	}
+	job := JobSpec{Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Paths: 2, Seed: 42}
+	attach := &Msg{Kind: KindAttach, Job: job, Attach: AttachSpec{Fingerprint: 0xfeed, Shard: int32(part), Shards: 8}}
+	if err := c.Send(attach); err != nil {
+		return fmt.Errorf("attach: %w", err)
+	}
+	if _, err := c.Expect(KindReady); err != nil {
+		return fmt.Errorf("ready: %w", err)
 	}
 	if err := c.Send(&Msg{Kind: KindCollect}); err != nil {
-		t.Fatalf("collect: %v", err)
+		return fmt.Errorf("collect: %w", err)
 	}
 	m, err := c.Expect(KindResult)
 	if err != nil {
-		t.Fatalf("result: %v", err)
+		return fmt.Errorf("result: %w", err)
 	}
-	if m.Result.Part != 3 {
-		t.Fatalf("result for partition %d, shipped partition 3", m.Result.Part)
+	if m.Result.Part != part {
+		return fmt.Errorf("result for partition %d, shipped partition %d", m.Result.Part, part)
+	}
+	return nil
+}
+
+func runMiniSession(t *testing.T, c *Conn) {
+	t.Helper()
+	if err := miniSession(c, 3); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestProtocolNegotiation covers the mixed-version handshake matrix: v3
-// both ends (with compression granted), a v3 coordinator downgrading to a
-// legacy gob worker, a v3-pinned coordinator failing clearly against that
-// worker, and a v2-pinned coordinator against a v3-capable worker.
+// TestProtocolNegotiation covers the hello handshake: compression requested
+// and granted, then a full session over the negotiated connection.
 func TestProtocolNegotiation(t *testing.T) {
 	t.Run("v3-with-compression", func(t *testing.T) {
 		addr := serveWorkers(t, ServeOptions{})
@@ -455,73 +521,82 @@ func TestProtocolNegotiation(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if c.Proto() != ProtocolV3 {
-			t.Fatalf("negotiated v%d, want v3", c.Proto())
-		}
 		if !c.compress {
 			t.Fatal("compression requested but not granted")
 		}
 		runMiniSession(t, c)
 	})
-	t.Run("downgrade-to-legacy-worker", func(t *testing.T) {
-		// A MaxProto-2 fleet stands in for old worker binaries: its gob
-		// decoder chokes on the v3 hello, the dialer recognises the legacy
-		// peer and redials speaking gob.
-		addr := serveWorkers(t, ServeOptions{MaxProto: ProtocolV2})
-		c, err := DialWith(addr, DialOptions{})
+}
+
+// TestWorkerServesConcurrentShips: a plain worker serves its connections
+// concurrently, each against the shard its own ship installed.
+func TestWorkerServesConcurrentShips(t *testing.T) {
+	addr := serveWorkers(t, ServeOptions{})
+	const sessions = 4
+	errs := make(chan error, sessions)
+	for part := 0; part < sessions; part++ {
+		go func() {
+			c, err := Dial(addr)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			errs <- miniSession(c, part)
+		}()
+	}
+	for range sessions {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestResidentWorkerRefusesForeignShip: a worker pinned to one pack's shard
+// refuses a ship cut from another pack with the typed manifest mismatch,
+// and acknowledges a ship for its own fleet slot without replacing the
+// pinned columns.
+func TestResidentWorkerRefusesForeignShip(t *testing.T) {
+	pinned := &ResidentShard{Fingerprint: 0xA, Shards: 2, Part: Partition{Part: 1}}
+	addr := serveWorkers(t, ServeOptions{Resident: pinned})
+	ship := func(fp uint64) error {
+		c, err := Dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if c.Proto() != ProtocolV2 {
-			t.Fatalf("negotiated v%d, want v2 fallback", c.Proto())
-		}
-		runMiniSession(t, c)
-	})
-	t.Run("v3-required-fails-clearly", func(t *testing.T) {
-		addr := serveWorkers(t, ServeOptions{MaxProto: ProtocolV2})
-		c, err := DialWith(addr, DialOptions{Proto: ProtocolV3})
-		if err == nil {
-			c.Close()
-			t.Fatal("v3-pinned dial succeeded against a legacy worker")
-		}
-		if !strings.Contains(err.Error(), "legacy gob protocol") {
-			t.Fatalf("unhelpful error for a legacy peer: %v", err)
-		}
-	})
-	t.Run("v2-pinned-against-v3-worker", func(t *testing.T) {
-		// The reverse skew: an old coordinator (pinned to gob) against a new
-		// worker, which must peek the non-frame bytes and serve gob.
-		addr := serveWorkers(t, ServeOptions{})
-		c, err := DialWith(addr, DialOptions{Proto: ProtocolV2})
-		if err != nil {
+		if err := c.Send(&Msg{Kind: KindShip, Shard: ResidentShard{Fingerprint: fp, Shards: 2, Part: Partition{Part: 1}}}); err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
-		if c.Proto() != ProtocolV2 {
-			t.Fatalf("negotiated v%d, want v2", c.Proto())
-		}
-		runMiniSession(t, c)
-	})
+		_, err = c.Expect(KindReady)
+		return err
+	}
+	if err := ship(0xB); !IsManifestMismatch(err) {
+		t.Fatalf("ship for pack B: err = %v, want a manifest mismatch", err)
+	}
+	if err := ship(0xA); err != nil {
+		t.Fatalf("ship for the pinned pack refused: %v", err)
+	}
 }
 
 // TestCompressionShrinksWire pins the point of the compression flag: the
 // same highly-compressible payload crosses the wire in fewer bytes on a
 // compressed connection.
 func TestCompressionShrinksWire(t *testing.T) {
-	msg := &Msg{Kind: KindMirrors, Step: core.DistRelays}
+	var bb BatchBuilder
+	bb.Reset()
 	for i := 0; i < 50; i++ {
-		vs := VertexState{V: graph.VertexID(i)}
+		var d core.VData
 		for j := 0; j < 100; j++ {
-			vs.Data.Sims = append(vs.Data.Sims, core.VertexSim{V: graph.VertexID(j), Sim: 0.5})
+			d.Sims = append(d.Sims, core.VertexSim{V: graph.VertexID(j), Sim: 0.5})
 		}
-		msg.States = append(msg.States, vs)
+		bb.AppendState(graph.VertexID(i), &d)
 	}
 	bytesAcross := func(pair func(t *testing.T) (*Conn, *Conn)) int64 {
 		ca, cb := pair(t)
 		errc := make(chan error, 1)
-		go func() { errc <- ca.Send(msg) }()
-		if _, err := cb.Recv(); err != nil {
+		go func() { errc <- ca.SendRaw(KindMirrors, core.DistRelays, true, bb.Payload()) }()
+		if _, err := cb.RecvRaw(); err != nil {
 			t.Fatal(err)
 		}
 		if err := <-errc; err != nil {

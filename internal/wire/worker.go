@@ -22,30 +22,24 @@ const streamChunkBytes = 64 << 10
 
 // ServeOptions configures a worker's listening side.
 type ServeOptions struct {
-	// MaxProto caps the protocol the worker negotiates: 0 (or ProtocolV3)
-	// accepts v3 hellos and falls back to gob for legacy coordinators;
-	// ProtocolV2 serves gob only — a stand-in for an old worker binary in
-	// mixed-version fleet tests.
-	MaxProto int
-	// Resident pins a packed partition for the worker's lifetime. A resident
-	// worker accepts KindAttach jobs (a fingerprint handshake instead of a
-	// partition transfer) and serves connections concurrently, so several
-	// coordinators — e.g. multiple serve front-ends — can share one standing
-	// fleet. Each session builds its own compute state over the shared
-	// read-only shard columns.
+	// Resident pins a packed shard for the worker's lifetime: every
+	// connection attaches against it, and a ship for a different fleet is
+	// refused with a manifest mismatch. Without it each connection first
+	// receives its shard in a KindShip. Either way each session builds its
+	// own compute state over read-only shard columns, so connections are
+	// served concurrently and several coordinators — e.g. multiple serve
+	// front-ends — can share one standing fleet.
 	Resident *ResidentShard
 }
 
 // Serve accepts coordinator sessions on l until the listener is closed,
-// running them sequentially: a worker owns one partition at a time, so
-// serving jobs back to back is the natural unit of isolation. Session
-// errors are reported to logf (nil discards them) and do not stop the
-// worker — the next coordinator gets a fresh session.
+// serving each connection on its own goroutine. Session errors are reported
+// to logf (nil discards them) and do not stop the worker.
 func Serve(l net.Listener, logf func(format string, args ...any)) error {
 	return ServeWith(l, logf, ServeOptions{})
 }
 
-// ServeWith is Serve with explicit protocol options.
+// ServeWith is Serve with explicit options.
 func ServeWith(l net.Listener, logf func(format string, args ...any), o ServeOptions) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -59,25 +53,13 @@ func ServeWith(l net.Listener, logf func(format string, args ...any), o ServeOpt
 			return fmt.Errorf("wire: accept: %w", err)
 		}
 		logf("session from %s", c.RemoteAddr())
-		if o.Resident != nil {
-			// A resident worker is shared infrastructure: several coordinators
-			// hold standing connections at once, so sessions run concurrently.
-			// Each attach builds its own compute state over the shared
-			// read-only shard columns, so sessions never alias mutable state.
-			go func(c net.Conn) {
-				if err := ServeConnWith(c, o); err != nil {
-					logf("session from %s failed: %v", c.RemoteAddr(), err)
-				} else {
-					logf("session from %s done", c.RemoteAddr())
-				}
-			}(c)
-			continue
-		}
-		if err := ServeConnWith(c, o); err != nil {
-			logf("session from %s failed: %v", c.RemoteAddr(), err)
-		} else {
-			logf("session from %s done", c.RemoteAddr())
-		}
+		go func(c net.Conn) {
+			if err := ServeConnWith(c, o); err != nil {
+				logf("session from %s failed: %v", c.RemoteAddr(), err)
+			} else {
+				logf("session from %s done", c.RemoteAddr())
+			}
+		}(c)
 	}
 }
 
@@ -88,24 +70,20 @@ func ServeConn(rwc io.ReadWriteCloser) error {
 	return ServeConnWith(rwc, ServeOptions{})
 }
 
-// ServeConnWith is ServeConn with explicit protocol options.
+// ServeConnWith is ServeConn with explicit options.
 //
-// A resident worker serves hostile input: a coordinator may die mid-frame, a
-// chaos test may flip bits, a stray client may speak garbage. Every such
-// failure must cost exactly one session — the error is reported to the peer
-// as a typed KindError frame when the transport still works, the connection
-// is closed, and the process stays up for the next coordinator. A panic in
-// the session (a decode bug reached by malformed input) is converted to the
+// A worker serves hostile input: a coordinator may die mid-frame, a chaos
+// test may flip bits, a stray client may speak garbage. Every such failure
+// must cost exactly one session — the error is reported to the peer as a
+// typed KindError frame when the transport still works, the connection is
+// closed, and the process stays up for the next coordinator. A panic in the
+// session (a decode bug reached by malformed input) is converted to the
 // same shape instead of taking the process down.
 func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
-	conn, err := accept(rwc, o)
+	conn, err := accept(rwc)
 	if err != nil {
-		if conn != nil {
-			conn.SendError(err)
-			conn.Close()
-		} else {
-			rwc.Close()
-		}
+		conn.SendError(err)
+		conn.Close()
 		return err
 	}
 	defer conn.Close()
@@ -115,15 +93,17 @@ func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
 			conn.SendError(err)
 		}
 	}()
-	// One connection carries a sequence of jobs: each KindShip or KindAttach
-	// replaces the current session, and collect leaves the connection open for
-	// the next job — a resident worker's coordinators re-attach per query on
-	// their standing connections. The measured window (m0) opens at the first
-	// post-Ready message of each job, not at Ready: the coordinator barriers
-	// on every worker's Ready before the first KindStepBegin, so by then all
-	// sessions (in-process ones included) have finished building and the
-	// window holds only superstep and collect work — the same boundary the
-	// coordinator's own wall-clock and traffic counters use.
+	// One connection carries a sequence of jobs against one shard: the
+	// pinned one, or the one this connection's ship installed. Each
+	// KindAttach replaces the current session, and collect leaves the
+	// connection open for the next job — coordinators re-attach per query on
+	// their standing connections. The measured window (m0) opens at the
+	// first post-Ready message of each job, not at Ready: the coordinator
+	// barriers on every worker's Ready before the first KindStepBegin, so by
+	// then all sessions (in-process ones included) have finished building
+	// and the window holds only superstep and collect work — the same
+	// boundary the coordinator's own wall-clock and traffic counters use.
+	shard := o.Resident
 	var s *session
 	var m0 runtime.MemStats
 	m0set := false
@@ -142,46 +122,39 @@ func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
 			}
 			return err
 		}
-		if m.Kind == KindShip || m.Kind == KindAttach {
-			s, err = startSession(conn, m, o.Resident)
-			if err != nil {
-				conn.SendError(err)
-				return err
-			}
-			if err := conn.Send(&Msg{Kind: KindReady}); err != nil {
-				return err
-			}
-			m0set = false
-			continue
-		}
-		if s == nil {
-			err := fmt.Errorf("wire: expected ship, got %s", m.Kind)
-			conn.SendError(err)
-			return err
-		}
-		if !m0set {
-			runtime.ReadMemStats(&m0)
-			m0set = true
-		}
+		var reply Msg // sent when its Kind is set
 		switch m.Kind {
-		case KindStepBegin:
-			if conn.Proto() == ProtocolV3 {
-				err = s.runStepV3(m.Step, m.Final)
+		case KindShip:
+			shard, err = installShard(&m.Shard, o.Resident)
+			s, reply.Kind = nil, KindReady
+		case KindAttach:
+			s, err = attachSession(conn, m, shard)
+			m0set, reply.Kind = false, KindReady
+		case KindStepBegin, KindCollect:
+			if s == nil {
+				err = fmt.Errorf("wire: %s before attach", m.Kind)
+				break
+			}
+			if !m0set {
+				runtime.ReadMemStats(&m0)
+				m0set = true
+			}
+			if m.Kind == KindStepBegin {
+				err = s.runStep(m.Step, m.Final)
 			} else {
-				err = s.runStepV2(m.Step, m.Final)
-			}
-			if err != nil {
-				conn.SendError(err)
-				return err
-			}
-		case KindCollect:
-			if err := conn.Send(&Msg{Kind: KindResult, Result: s.collect(&m0)}); err != nil {
-				return err
+				reply = Msg{Kind: KindResult, Result: s.collect(&m0)}
 			}
 		default:
-			err := fmt.Errorf("wire: unexpected %s mid-session", m.Kind)
+			err = fmt.Errorf("wire: unexpected %s mid-session", m.Kind)
+		}
+		if err != nil {
 			conn.SendError(err)
 			return err
+		}
+		if reply.Kind != 0 {
+			if err := conn.Send(&reply); err != nil {
+				return err
+			}
 		}
 	}
 }
@@ -198,8 +171,8 @@ type recRef struct {
 const selfChunk = int32(-1)
 
 // session is a worker's state for one job: the compute partition plus the
-// master/mirror roles the coordinator elected, and (on v3) the reusable
-// streaming buffers of the pipelined superstep.
+// master/mirror roles the coordinator elected, and the reusable streaming
+// buffers of the pipelined superstep.
 type session struct {
 	conn      *Conn
 	partIdx   int
@@ -208,7 +181,7 @@ type session struct {
 	hasRemote []bool
 	busyNS    atomic.Int64 // gather/apply/refresh goroutines all contribute
 
-	// v3 per-step state, reused across supersteps.
+	// Per-step state, reused across supersteps.
 	sendBB BatchBuilder // outgoing chunk under construction (sender goroutine)
 	// regather marks a partition whose masters can recompute their own
 	// partial at apply time (core.DistPartition.GatherVertex) — the normal
@@ -228,65 +201,58 @@ type session struct {
 	collectPreds []VertexPreds // result storage, presized at ship
 }
 
-// startSession builds the worker's state for one job. A KindShip message
-// carries the whole partition over the wire; a KindAttach references the
-// worker's resident shard by fingerprint, carrying only the job config and
-// (for scoped queries) the sparse per-vertex roles the coordinator elected.
-func startSession(conn *Conn, m *Msg, resident *ResidentShard) (*session, error) {
-	if m.Version != conn.Proto() {
-		return nil, fmt.Errorf("wire: protocol version %d, worker speaks %d", m.Version, conn.Proto())
+// installShard checks a shipped shard and returns the one the connection
+// serves from now on. A worker pinned to a resident shard keeps it: a ship
+// for the same fleet slot is acknowledged without replacing anything, and a
+// ship cut from a different (graph, cut) is refused as a manifest mismatch.
+func installShard(sh, pinned *ResidentShard) (*ResidentShard, error) {
+	if pinned != nil {
+		return pinned, checkShard(pinned, sh.Fingerprint, sh.Part.Part, sh.Shards, "ship")
+	}
+	if err := sh.Part.Validate(); err != nil {
+		return nil, err
+	}
+	if sh.Part.Part >= sh.Shards {
+		return nil, fmt.Errorf("wire: ship for shard %d of %d", sh.Part.Part, sh.Shards)
+	}
+	return sh, nil
+}
+
+// checkShard verifies that a coordinator's view of the fleet slot — its
+// fingerprint, shard index and shard count — matches the shard this worker
+// holds. A mismatched worker would compute over a different graph and
+// silently corrupt the fold, so the handshake fails with a typed error.
+func checkShard(held *ResidentShard, fingerprint uint64, shard, shards int, what string) error {
+	if fingerprint != held.Fingerprint {
+		return fmt.Errorf("wire: %s: coordinator has %016x, worker holds %016x",
+			manifestMismatchText, fingerprint, held.Fingerprint)
+	}
+	if shard != held.Part.Part || shards != held.Shards {
+		return fmt.Errorf("wire: %s for shard %d of %d, worker holds shard %d of %d",
+			what, shard, shards, held.Part.Part, held.Shards)
+	}
+	return nil
+}
+
+// attachSession builds a job session over the shard the connection serves.
+// Scoped attaches carry the coordinator's per-query roles for just the
+// closure vertices: everything outside the entries keeps a zero scope mask,
+// which the partition's scope machinery skips entirely. Unscoped attaches
+// reuse the roles baked into the shard (copied, so a session can never
+// mutate the shared shard columns).
+func attachSession(conn *Conn, m *Msg, shard *ResidentShard) (*session, error) {
+	if shard == nil {
+		return nil, errors.New("wire: attach before ship on a non-resident worker")
+	}
+	a := &m.Attach
+	if err := checkShard(shard, a.Fingerprint, int(a.Shard), int(a.Shards), "attach"); err != nil {
+		return nil, err
 	}
 	cfg, err := m.Job.Config()
 	if err != nil {
 		return nil, err
 	}
-	if m.Kind == KindAttach {
-		return attachSession(conn, m, cfg, resident)
-	}
-	if err := m.Part.Validate(); err != nil {
-		return nil, err
-	}
-	part, err := core.NewDistPartition(cfg, m.Part.NumVertices, m.Part.Locals, m.Part.Deg, m.Part.EdgeSrc, m.Part.EdgeDst)
-	if err != nil {
-		return nil, err
-	}
-	if err := part.SetScope(m.Part.Scope); err != nil {
-		return nil, err
-	}
-	s := &session{
-		conn:      conn,
-		partIdx:   m.Part.Part,
-		part:      part,
-		isMaster:  m.Part.IsMaster,
-		hasRemote: m.Part.HasRemote,
-		regather:  part.CanGatherVertex(),
-	}
-	s.prewarm()
-	return s, nil
-}
-
-// attachSession builds a job session over the resident shard. The fingerprint
-// must match the coordinator's manifest exactly — a mismatched worker would
-// compute over a different graph and silently corrupt the fold, so the
-// handshake fails with a typed error instead. Scoped attaches carry the
-// coordinator's per-query roles for just the closure vertices: everything
-// outside the entries keeps a zero scope mask, which the partition's scope
-// machinery skips entirely. Unscoped attaches reuse the roles baked at pack
-// time (copied, so a session can never mutate the shared resident columns).
-func attachSession(conn *Conn, m *Msg, cfg core.Config, resident *ResidentShard) (*session, error) {
-	if resident == nil {
-		return nil, errors.New("wire: attach to a non-resident worker")
-	}
-	a := &m.Attach
-	if a.Fingerprint != resident.Fingerprint {
-		return nil, fmt.Errorf("wire: %s: coordinator has %016x, resident shard has %016x",
-			manifestMismatchText, a.Fingerprint, resident.Fingerprint)
-	}
-	p := &resident.Part
-	if int(a.Shard) != p.Part || int(a.Shards) != resident.Shards {
-		return nil, fmt.Errorf("wire: attach for shard %d of %d, worker is resident for shard %d of %d",
-			a.Shard, a.Shards, p.Part, resident.Shards)
-	}
+	p := &shard.Part
 	part, err := core.NewDistPartition(cfg, p.NumVertices, p.Locals, p.Deg, p.EdgeSrc, p.EdgeDst)
 	if err != nil {
 		return nil, err
@@ -325,7 +291,7 @@ func attachSession(conn *Conn, m *Msg, cfg core.Config, resident *ResidentShard)
 }
 
 // prewarm pays for the streaming buffers' steady-state capacity during the
-// ship handshake, before the coordinator starts timing the supersteps:
+// attach handshake, before the coordinator starts timing the supersteps:
 // the outgoing chunk builder, one foreign ref per replicated master (each
 // remote mirror partition contributes at most one record per step), a pool
 // of foreign chunk buffers, the connection's frame scratch, and the collect
@@ -363,7 +329,7 @@ func (s *session) prewarm() {
 
 func (s *session) addBusy(d time.Duration) { s.busyNS.Add(int64(d)) }
 
-// resetStep readies the reusable v3 buffers for one superstep.
+// resetStep readies the reusable buffers for one superstep.
 func (s *session) resetStep() {
 	n := len(s.part.Locals())
 	if len(s.applied) != n {
@@ -384,14 +350,14 @@ func (s *session) resetStep() {
 	s.chunkN = 0
 }
 
-// runStepV3 executes one superstep on the pipelined v3 protocol: a sender
+// runStep executes one pipelined superstep: a sender
 // goroutine streams gather partials up in chunks as the gather loop produces
 // them, while this goroutine concurrently drains the foreign partials the
 // coordinator routes back — communication overlaps compute on both sides of
 // the connection. Masters without remote mirrors apply inline during the
 // gather (no other partition can contribute to them); the rest apply after
 // both streams end. The refresh round pipelines the same way.
-func (s *session) runStepV3(step core.DistStep, final bool) error {
+func (s *session) runStep(step core.DistStep, final bool) error {
 	s.resetStep()
 	gerr := make(chan error, 1)
 	go func() { gerr <- s.gatherAndSend(step) }()
@@ -604,13 +570,13 @@ func (s *session) applyMasters(step core.DistStep) error {
 				n++
 			}
 		} else if s.selfOff[li] >= 0 {
-			if err := decodePartialRecordInto(s.selfBuf[s.selfOff[li]:s.selfEnd[li]], sc); err != nil {
+			if err := DecodePartialRecordInto(s.selfBuf[s.selfOff[li]:s.selfEnd[li]], sc); err != nil {
 				return err
 			}
 			n++
 		}
 		for _, r := range s.frefs[start:fi] {
-			if err := decodePartialRecordInto(s.chunkBufs[r.chunk][r.off:r.end], sc); err != nil {
+			if err := DecodePartialRecordInto(s.chunkBufs[r.chunk][r.off:r.end], sc); err != nil {
 				return err
 			}
 			n++
@@ -650,94 +616,6 @@ func (s *session) sendRefresh(step core.DistStep) error {
 	}
 	s.addBusy(time.Since(t0))
 	return s.conn.SendRaw(KindRefresh, step, true, bb.Payload())
-}
-
-// runStepV2 executes one superstep on the legacy gob protocol, barriered
-// exactly as protocol v2 always was: gather, exchange partials through the
-// coordinator, apply at the masters and (unless final) broadcast refreshed
-// state back through the coordinator to the mirrors.
-func (s *session) runStepV2(step core.DistStep, final bool) error {
-	t0 := time.Now()
-	partials, err := s.part.Gather(step)
-	if err != nil {
-		return err
-	}
-	// Split: partials for vertices mastered here wait for the apply phase;
-	// the rest go up to the coordinator for routing.
-	locals := s.part.Locals()
-	mine := make([][]core.DistPartial, len(locals))
-	var foreign []core.DistPartial
-	for _, dp := range partials {
-		li, _ := s.part.LocalIndex(dp.V) // gather only emits local vertices
-		if s.isMaster[li] {
-			mine[li] = append(mine[li], dp)
-		} else {
-			foreign = append(foreign, dp)
-		}
-	}
-	s.addBusy(time.Since(t0))
-
-	if err := s.conn.Send(&Msg{Kind: KindPartials, Step: step, Partials: foreign}); err != nil {
-		return err
-	}
-	fm, err := s.conn.Expect(KindForeign)
-	if err != nil {
-		return err
-	}
-	if fm.Step != step {
-		return fmt.Errorf("wire: foreign partials for %v during %v", fm.Step, step)
-	}
-
-	t0 = time.Now()
-	for _, dp := range fm.Partials {
-		li, ok := s.part.LocalIndex(dp.V)
-		if !ok || !s.isMaster[li] {
-			return fmt.Errorf("wire: routed partial for vertex %d, which is not mastered here", dp.V)
-		}
-		mine[li] = append(mine[li], dp)
-	}
-	for li, v := range locals {
-		if !s.isMaster[li] {
-			continue
-		}
-		if err := s.part.Apply(step, v, mine[li]); err != nil {
-			return err
-		}
-	}
-	if final {
-		// The last superstep's output is read back through collect; mirrors
-		// never consume it, so the refresh round is skipped entirely.
-		s.addBusy(time.Since(t0))
-		return nil
-	}
-	var states []VertexState
-	for li, v := range locals {
-		if !s.isMaster[li] || !s.hasRemote[li] {
-			continue
-		}
-		d, _ := s.part.State(v)
-		states = append(states, VertexState{V: v, Data: d})
-	}
-	s.addBusy(time.Since(t0))
-
-	if err := s.conn.Send(&Msg{Kind: KindRefresh, Step: step, States: states}); err != nil {
-		return err
-	}
-	mm, err := s.conn.Expect(KindMirrors)
-	if err != nil {
-		return err
-	}
-	if mm.Step != step {
-		return fmt.Errorf("wire: mirror refresh for %v during %v", mm.Step, step)
-	}
-	t0 = time.Now()
-	for _, vs := range mm.States {
-		if err := s.part.SetState(vs.V, vs.Data); err != nil {
-			return err
-		}
-	}
-	s.addBusy(time.Since(t0))
-	return nil
 }
 
 // collect assembles the partition's master predictions and cost report.

@@ -5,7 +5,8 @@
 # runs the dist-vs-serial equivalence tests under the race detector against
 # that fleet (SNAPLE_WORKER_ADDRS points the tests at it), then exercises
 # both CLI paths: -addrs against the running fleet and -spawn, where the CLI
-# forks its own workers. The chaos legs run the in-process fault suite under
+# forks its own workers; either way the CLI ships each worker its shard once
+# and attaches per query. The chaos legs run the in-process fault suite under
 # -race and SIGKILL a replicated worker mid-run, asserting the failover
 # output is byte-identical to the healthy run's. The final resident leg
 # packs a 3-shard set, pins it on a 2x-replicated standing fleet, fronts it
@@ -80,36 +81,6 @@ echo "$plain_out"
 echo "==> CLI auto-spawn path (-spawn forks its own workers)"
 PATH="$workdir:$PATH" "$workdir/snaple" -dataset gowalla -scale 0.3 -engine dist -spawn 2 -eval
 
-echo "==> mixed-version fleet: a 4th worker that speaks only the legacy gob protocol"
-"$workdir/snaple-worker" -listen 127.0.0.1:0 -max-proto 2 \
-  >"$workdir/worker4.out" 2>"$workdir/worker4.err" &
-pids+=($!)
-legacy_addr=""
-for _ in $(seq 1 100); do
-  line="$(head -n1 "$workdir/worker4.out" 2>/dev/null || true)"
-  case "$line" in
-    "listening "*) legacy_addr="${line#listening }"; break ;;
-  esac
-  sleep 0.1
-done
-if [ -z "$legacy_addr" ]; then
-  echo "legacy worker never announced its address" >&2
-  exit 1
-fi
-"$workdir/snaple" -dataset gowalla -scale 0.3 -engine dist \
-  -addrs "$addr_list,$legacy_addr" -eval
-
-echo "==> pinning -wire-proto 3 against the legacy worker must fail clearly"
-if v3_out="$("$workdir/snaple" -dataset gowalla -scale 0.3 -engine dist \
-    -addrs "$legacy_addr" -wire-proto 3 -eval 2>&1)"; then
-  echo "required-v3 run against a legacy worker unexpectedly succeeded" >&2
-  exit 1
-fi
-case "$v3_out" in
-  *"legacy gob protocol"*) ;;
-  *) echo "required-v3 failure lacks a clear diagnosis: $v3_out" >&2; exit 1 ;;
-esac
-
 echo "==> -wire-compress shrinks the measured cross-node traffic"
 zip_out="$("$workdir/snaple" -dataset gowalla -scale 0.3 -engine dist \
   -addrs "$addr_list" -wire-compress -eval)"
@@ -147,7 +118,7 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 if [ -z "$extra_addr" ]; then
-  echo "4th v3 worker never announced its address" >&2
+  echo "4th worker never announced its address" >&2
   exit 1
 fi
 fleet4="$addr_list,$extra_addr"

@@ -227,10 +227,10 @@ func PredictStats(g GraphView, opts Options) (Predictions, EngineStats, error) {
 // (WorkerAddrs/SpawnWorkers/Workers). Strategy and Seed apply to both.
 type ClusterOptions struct {
 	// Graph is the graph the cluster serves. Required for OpenCluster;
-	// PredictDistributed fills it from its own argument. Resident fleets
-	// (Manifest, or bare "dist") require a frozen *Graph — compact a live
-	// view before opening one; sim and non-resident dist deployments
-	// accept any view.
+	// PredictDistributed fills it from its own argument. A Manifest fleet
+	// requires a frozen *Graph — compact a live view before opening one —
+	// because its pack predates any overlay; every other deployment folds a
+	// live view into the frozen graph it serves.
 	Graph GraphView
 	// Options is the base prediction configuration every query of an open
 	// cluster runs under; Cluster.PredictFor overrides only the sources.
@@ -267,29 +267,26 @@ type ClusterOptions struct {
 	// WorkerAddrs nor SpawnWorkers is given.
 	Workers int
 	// WorkerAddrs connects the dist backend to running snaple-worker
-	// processes ("host:port" each); one partition is shipped to each.
+	// processes ("host:port" each); without a Manifest each is shipped its
+	// partition once, when the cluster opens.
 	WorkerAddrs []string
 	// SpawnWorkers makes the dist backend fork this many snaple-worker
-	// processes on loopback for the duration of the run (requires the
+	// processes on loopback for the life of the cluster (requires the
 	// binary; see WorkerBin). Ignored when WorkerAddrs is set.
 	SpawnWorkers int
 	// WorkerBin locates the worker binary for SpawnWorkers (default
 	// "snaple-worker" resolved through PATH).
 	WorkerBin string
-	// WireProto pins the dist backend's wire protocol: 0 negotiates (v3
-	// with automatic fallback to the legacy gob protocol for old workers),
-	// 2 forces gob, 3 requires v3 and fails clearly against legacy workers.
-	WireProto int
-	// WireCompress enables per-frame flate compression on v3 connections
-	// (trades coordinator/worker CPU for cross-node bytes; ignored on gob
-	// connections).
+	// WireCompress enables per-frame flate compression on the dist
+	// backend's connections (trades coordinator/worker CPU for cross-node
+	// bytes).
 	WireCompress bool
-	// Replicas ships every partition to this many dist workers (0 or 1 = no
-	// replication). With R > 1 the fleet divides into groups of R replicas
-	// computing identically, so a worker death mid-run fails over to a
-	// survivor and the run completes with bit-identical predictions; only
-	// when all R replicas of a partition die does the run fail, with
-	// ErrPartitionLost (dist only).
+	// Replicas serves every partition from this many dist workers (0 or 1 =
+	// no replication; clamped to the worker count). With R > 1 the fleet
+	// divides into groups of R replicas computing identically, so a worker
+	// death mid-run fails over to a survivor and the run completes with
+	// bit-identical predictions; only when all R replicas of a partition
+	// die does the run fail, with ErrPartitionLost (dist only).
 	Replicas int
 	// StepTimeout bounds each dist superstep exchange phase (and the final
 	// collect): a wedged or blackholed worker is declared dead at the
@@ -318,9 +315,8 @@ var ErrPartitionLost = engine.ErrPartitionLost
 // Result reports a distributed run: the predictions plus the engine costs.
 type Result struct {
 	Predictions Predictions
-	// Engine is the backend that produced the result: "sim", "dist", or
-	// "fleet" for a resident-fleet run (a Cluster, or bare-dist
-	// PredictDistributed, which serves in-process resident workers).
+	// Engine is the backend that produced the result: "sim", or "fleet"
+	// for a run on a Cluster's (or PredictDistributed's) worker fleet.
 	Engine string
 	// WallSeconds is host wall-clock time of the supersteps.
 	WallSeconds float64
@@ -417,29 +413,6 @@ func toResult(preds Predictions, st engine.Stats) *Result {
 	}
 }
 
-// toDist maps the deployment description onto the engine layer's Dist
-// backend (real worker processes over TCP).
-func (c ClusterOptions) toDist() (engine.Dist, error) {
-	strat, err := c.strategy()
-	if err != nil {
-		return engine.Dist{}, err
-	}
-	return engine.Dist{
-		Addrs:        c.WorkerAddrs,
-		Spawn:        c.SpawnWorkers,
-		WorkerBin:    c.WorkerBin,
-		InProc:       c.Workers,
-		Strategy:     strat,
-		Seed:         c.Seed,
-		Proto:        c.WireProto,
-		Compress:     c.WireCompress,
-		Replicas:     c.Replicas,
-		StepTimeout:  c.StepTimeout,
-		DialAttempts: c.DialAttempts,
-		DialBackoff:  c.DialBackoff,
-	}, nil
-}
-
 // ErrManifestMismatch is returned (wrapped) when a fleet manifest does not
 // describe the graph being served, or when a resident snaple-worker turns
 // out to hold a partition packed from a different (graph, cut) than the
@@ -451,11 +424,11 @@ var ErrManifestMismatch = engine.ErrManifestMismatch
 // persistent form of PredictDistributed. For the "dist" engine the expensive
 // setup — vertex-cut partitioning, connecting the worker fleet and (for
 // non-resident workers) shipping partitions — happens at OpenCluster, and
-// every PredictFor afterwards only routes its query: against resident
-// workers a scoped query ships nothing but a fingerprint handshake and the
-// sparse closure roles, and only contacts the replica groups whose
-// partitions intersect the query's closure. Multiple servers (or
-// snaple-serve front-ends) can share one standing worker fleet.
+// every PredictFor afterwards only routes its query: a scoped query ships
+// nothing but a fingerprint handshake and the sparse closure roles, and only
+// contacts the replica groups whose partitions intersect the query's
+// closure. Multiple servers (or snaple-serve front-ends) can share one
+// standing resident worker fleet.
 //
 // A Cluster is safe for concurrent use; queries are serialized over the
 // standing connections. Close releases the connections (and any in-process
@@ -465,8 +438,8 @@ type Cluster struct {
 	g    GraphView
 	opts Options
 
-	fleet *engine.Fleet // resident mode ("dist" with a manifest, or in-process)
-	dist  *engine.Dist  // per-call mode ("dist" with non-resident workers)
+	fleet *engine.Fleet // "dist": a standing worker fleet
+	stop  func()        // kills the fleet's spawned workers, if any
 	sim   *engine.Sim   // per-call mode ("" / "sim")
 	simW  int           // host worker bound for the sim backend
 
@@ -482,8 +455,8 @@ type Cluster struct {
 //   - Options.Engine "" or "sim": the simulated cluster; each query runs the
 //     paper's cost model (nothing stays resident, so Open only validates).
 //   - "dist" with Manifest: attach to resident workers at WorkerAddrs.
-//   - "dist" with WorkerAddrs or SpawnWorkers (no manifest): classic
-//     non-resident workers; each query ships partitions.
+//   - "dist" with WorkerAddrs or SpawnWorkers (no manifest): plain workers,
+//     each shipped its partition once at open; queries only attach.
 //   - "dist" bare: an in-process resident fleet of Workers loopback workers
 //     (default 2), pinned once and reused by every query.
 func OpenCluster(o ClusterOptions) (*Cluster, error) {
@@ -510,10 +483,10 @@ func OpenCluster(o ClusterOptions) (*Cluster, error) {
 			Addrs: o.WorkerAddrs, Replicas: o.Replicas, Strategy: strat,
 			Seed: o.Seed, StepTimeout: o.StepTimeout,
 			DialAttempts: o.DialAttempts, DialBackoff: o.DialBackoff,
-			Proto: o.WireProto, Compress: o.WireCompress,
+			Compress: o.WireCompress,
 		}
-		switch {
-		case o.Manifest != "":
+		var csr *graph.Digraph
+		if o.Manifest != "" {
 			f, err := os.Open(o.Manifest)
 			if err != nil {
 				return nil, fmt.Errorf("snaple: OpenCluster: %w", err)
@@ -523,45 +496,34 @@ func OpenCluster(o ClusterOptions) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			csr, ok := graph.AsCSR(o.Graph)
-			if !ok {
+			var ok bool
+			if csr, ok = graph.AsCSR(o.Graph); !ok {
 				return nil, fmt.Errorf("snaple: OpenCluster: resident fleets serve a frozen graph; compact the live view first")
 			}
-			c.fleet, err = engine.OpenFleet(csr, fo)
-			if err != nil {
-				return nil, err
+		} else {
+			// The fleet cuts its shards from this very view, so a static
+			// overlay (an evaluation split, a held live snapshot) folds into
+			// the frozen CSR it serves — bit-identical by the
+			// delta/compaction oracle. Manifest fleets stay strict: their
+			// pack predates the overlay.
+			if csr, err = engine.Freeze(o.Graph); err != nil {
+				return nil, fmt.Errorf("snaple: OpenCluster: %w", err)
 			}
-		case len(o.WorkerAddrs) > 0 || o.SpawnWorkers > 0:
-			d, err := o.toDist()
-			if err != nil {
-				return nil, err
-			}
-			c.dist = &d
-		default:
-			fo.Addrs, fo.InProc = nil, o.Workers
-			if fo.InProc == 0 {
-				fo.InProc = 2 // the dist backend's loopback default
-			}
-			csr, ok := graph.AsCSR(o.Graph)
-			if !ok {
-				// The in-process fleet packs its shards from this very view,
-				// so a static overlay (an evaluation split, a held live
-				// snapshot) can fold into the frozen CSR it serves —
-				// bit-identical by the delta/compaction oracle. External
-				// fleets (manifest above) stay strict: their pack predates
-				// the overlay.
-				d, isDelta := o.Graph.(*graph.Delta)
-				if !isDelta {
-					return nil, fmt.Errorf("snaple: OpenCluster: resident fleets serve a frozen graph; compact the live view first")
+			c.g = csr
+			switch {
+			case len(o.WorkerAddrs) > 0: // fo.Addrs already names them
+			case o.SpawnWorkers > 0:
+				fo.Addrs, c.stop, _, err = engine.SpawnWorkers(o.WorkerBin, o.SpawnWorkers, o.DialAttempts, o.DialBackoff)
+				if err != nil {
+					return nil, fmt.Errorf("snaple: OpenCluster: %w", err)
 				}
-				csr = d.Materialize()
-				c.g = csr
+			default:
+				fo.InProc = o.Workers
 			}
-			var err error
-			c.fleet, err = engine.OpenFleet(csr, fo)
-			if err != nil {
-				return nil, err
-			}
+		}
+		if c.fleet, err = engine.OpenFleet(csr, fo); err != nil {
+			c.Close()
+			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("snaple: OpenCluster: engine %q has no cluster deployment (sim|dist)", eng)
@@ -604,22 +566,7 @@ func (c *Cluster) predict(ctx context.Context, opts Options) (*Result, error) {
 	if closed {
 		return nil, fmt.Errorf("snaple: cluster is closed")
 	}
-	switch {
-	case c.fleet != nil:
-		preds, st, err := c.fleet.PredictCtx(ctx, c.g, cfg)
-		if err != nil {
-			return nil, err
-		}
-		c.setLast(st)
-		return toResult(preds, st), nil
-	case c.dist != nil:
-		preds, st, err := c.dist.PredictCtx(ctx, c.g, cfg)
-		if err != nil {
-			return nil, err
-		}
-		c.setLast(st)
-		return toResult(preds, st), nil
-	default:
+	if c.fleet == nil {
 		res, err := c.sim.PredictResult(c.g, cfg)
 		if res == nil {
 			return nil, err // failed before any superstep ran: nothing to report
@@ -628,6 +575,12 @@ func (c *Cluster) predict(ctx context.Context, opts Options) (*Result, error) {
 		c.setLast(st)
 		return toResult(res.Pred, st), err
 	}
+	preds, st, err := c.fleet.PredictCtx(ctx, c.g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.setLast(st)
+	return toResult(preds, st), nil
 }
 
 func (c *Cluster) setLast(st EngineStats) {
@@ -637,7 +590,7 @@ func (c *Cluster) setLast(st EngineStats) {
 }
 
 // Stats reports the deployment's cost counters: cumulative over the
-// cluster's lifetime for a resident fleet (worker deaths, failovers, dial
+// cluster's lifetime for a worker fleet (worker deaths, failovers, dial
 // retries survive across queries), the last query's report otherwise.
 func (c *Cluster) Stats() EngineStats {
 	if c.fleet != nil {
@@ -648,9 +601,9 @@ func (c *Cluster) Stats() EngineStats {
 	return c.last
 }
 
-// Close releases the cluster's standing connections and in-process workers.
-// Resident worker processes keep running for the next coordinator. Close is
-// idempotent.
+// Close releases the cluster's standing connections, in-process workers and
+// spawned worker processes. Workers the cluster did not start keep running
+// for the next coordinator. Close is idempotent.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -659,10 +612,14 @@ func (c *Cluster) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
+	var err error
 	if c.fleet != nil {
-		return c.fleet.Close()
+		err = c.fleet.Close()
 	}
-	return nil
+	if c.stop != nil {
+		c.stop()
+	}
+	return err
 }
 
 // PredictDistributed runs SNAPLE's Algorithm 2 on a configured deployment:
