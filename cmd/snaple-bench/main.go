@@ -219,9 +219,18 @@ func runPerf(o eval.Options, w io.Writer) error {
 			Score: "linearSum", KLocal: 20, ThrGamma: 200, Seed: o.Seed,
 			Engine: engineName, Workers: o.Workers,
 		}
-		_, st, err := distPerfStats(g, opts)
+		var st snaple.EngineStats
+		bytes, objects, err := memDelta(func() (err error) {
+			_, st, err = distPerfStats(g, opts)
+			return err
+		})
 		if err != nil {
 			return fmt.Errorf("%s backend: %w", engineName, err)
+		}
+		if engineName != "dist" {
+			// The dist row keeps the workers' own superstep window, which
+			// excludes opening the fleet and shipping the shards.
+			st.AllocBytes, st.AllocObjects = bytes, objects
 		}
 		rep.Rows = append(rep.Rows, eval.PerfRow{
 			Engine: st.Engine, Workers: st.Workers,
@@ -267,6 +276,19 @@ func runPerf(o eval.Options, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "wrote %s\n", perfOutPath)
 	return nil
+}
+
+// memDelta runs fn and returns the heap bytes and objects it allocated,
+// read from runtime.MemStats. The engines' own Stats read runtime/metrics
+// to stay off the stop-the-world path, and those counters lag by what the
+// per-P allocation caches hold — a few hundred KB, material for one short
+// run; MemStats flushes the caches first, so the gated rows stay exact.
+func memDelta(fn func() error) (bytes, objects int64, err error) {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	err = fn()
+	runtime.ReadMemStats(&m1)
+	return int64(m1.TotalAlloc - m0.TotalAlloc), int64(m1.Mallocs - m0.Mallocs), err
 }
 
 // distPerfStats runs one perf-tracked backend. The dist backend is
@@ -338,21 +360,24 @@ func ingestPerf(g *snaple.Graph, workers int, w io.Writer) ([]eval.PerfRow, erro
 	}
 	var rows []eval.PerfRow
 	for _, tc := range []struct {
-		engine string
-		path   string
-		size   int64
-		opts   snaple.GraphReadOptions
+		engine   string
+		path     string
+		size     int64
+		opts     snaple.GraphReadOptions
+		minBatch time.Duration
 	}{
 		// PreserveIDs matches the pack workflow for already-dense files and
 		// keeps the text row's memory profile map-free and deterministic.
 		// The sgr row pins the heap decode path (NoMap) so its alloc columns
 		// keep meaning per-edge copy cost; the sgr-map row is the zero-copy
 		// default, whose alloc columns pin the O(1)-allocation claim instead.
-		{"ingest-text", textPath, textSize, snaple.GraphReadOptions{PreserveIDs: true, Workers: workers}},
-		{"ingest-sgr", sgrPath, sgrSize, snaple.GraphReadOptions{NoMap: true}},
-		{"ingest-sgr-map", sgrPath, sgrSize, snaple.GraphReadOptions{}},
+		// A mapped load takes 10–20 µs, too short to time one at a time:
+		// that row is timed over batches of at least 2 ms of loads.
+		{"ingest-text", textPath, textSize, snaple.GraphReadOptions{PreserveIDs: true, Workers: workers}, 0},
+		{"ingest-sgr", sgrPath, sgrSize, snaple.GraphReadOptions{NoMap: true}, 0},
+		{"ingest-sgr-map", sgrPath, sgrSize, snaple.GraphReadOptions{}, 2 * time.Millisecond},
 	} {
-		row, got, err := measureIngest(tc.engine, tc.path, tc.size, workers, tc.opts)
+		row, got, err := measureIngest(tc.engine, tc.path, tc.size, workers, tc.opts, tc.minBatch)
 		if err != nil {
 			return nil, err
 		}
@@ -371,10 +396,12 @@ func ingestPerf(g *snaple.Graph, workers int, w io.Writer) ([]eval.PerfRow, erro
 // instrumented run for the memory metrics (allocation deltas and the
 // live-heap peak, sampled every millisecond and floored by the post-load
 // pre-GC heap, which covers loads faster than the sampler), then repeated
-// loads until enough wall time accumulates for a stable best-run
+// batches of loads until enough wall time accumulates for a stable
 // throughput — a single load of a small bench graph is far too short to
-// gate on.
-func measureIngest(engine, path string, size int64, workers int, opts snaple.GraphReadOptions) (eval.PerfRow, *snaple.Graph, error) {
+// gate on. A batch runs loads back to back until it lasts minBatch (one
+// load when minBatch is 0), and the row reports the best batch's mean
+// load time.
+func measureIngest(engine, path string, size int64, workers int, opts snaple.GraphReadOptions, minBatch time.Duration) (eval.PerfRow, *snaple.Graph, error) {
 	runtime.GC()
 	var m0 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -414,11 +441,16 @@ func measureIngest(engine, path string, size int64, workers int, opts snaple.Gra
 	var total time.Duration
 	for iters := 0; iters < minIters || total < minTotal; iters++ {
 		start := time.Now()
-		if _, err := snaple.ReadGraphFile(path, opts); err != nil {
-			return eval.PerfRow{}, nil, err
+		loads := 0
+		var d time.Duration
+		for loads == 0 || d < minBatch {
+			if _, err := snaple.ReadGraphFile(path, opts); err != nil {
+				return eval.PerfRow{}, nil, err
+			}
+			loads++
+			d = time.Since(start)
 		}
-		d := time.Since(start)
-		best = min(best, d)
+		best = min(best, d/time.Duration(loads))
 		total += d
 	}
 	wall := best.Seconds()
@@ -466,16 +498,21 @@ func queryPerf(name string, g snaple.GraphView, workers int, seed uint64, w io.W
 				sources[i] = snaple.VertexID(randx.Uint64n(n, seed, uint64(q), uint64(i)))
 			}
 			opts.Sources = sources
-			start := time.Now()
-			_, st, err := snaple.PredictStats(g, opts)
+			var st snaple.EngineStats
+			var d float64
+			b, o, err := memDelta(func() (err error) {
+				start := time.Now()
+				_, st, err = snaple.PredictStats(g, opts)
+				d = time.Since(start).Seconds()
+				return err
+			})
 			if err != nil {
 				return eval.PerfRow{}, err
 			}
-			d := time.Since(start).Seconds()
 			lats = append(lats, d*1000)
 			wall += d
-			alloc += st.AllocBytes
-			objects += st.AllocObjects
+			alloc += b
+			objects += o
 			best.Workers = st.Workers
 		}
 		sort.Float64s(lats)

@@ -21,22 +21,44 @@ import "snaple/internal/graph"
 // SetCount calls for distinct vertices touch disjoint offsets and Row
 // returns disjoint sub-slices, so both passes parallelise over vertex ranges
 // with no synchronisation beyond a barrier around FinishCounts.
+//
+// A query-scoped run only materialises rows for its frontier closure, so
+// its arenas are built over a VertexSet (NewArenaOver): the offsets table
+// is indexed by the member's rank and sized by the set, not the graph, and
+// every non-member's row is empty. Callers address rows by global vertex ID
+// either way.
 type Arena[T any] struct {
-	off  []int64 // len n+1; data[off[u]:off[u+1]] is row u after FinishCounts
+	off  []int64 // len rows+1; data[off[i]:off[i+1]] is row i after FinishCounts
 	data []T
+	set  *VertexSet // non-nil: row i belongs to the set member of rank i
 }
 
-// NewArena returns an arena with n empty rows, ready for the count pass.
+// NewArena returns an arena with n empty rows, one per vertex of [0, n),
+// ready for the count pass.
 func NewArena[T any](n int) *Arena[T] {
 	return &Arena[T]{off: make([]int64, n+1)}
+}
+
+// NewArenaOver returns an arena with one row per member of set, addressed by
+// vertex ID: its offsets cost 8 B per member rather than per graph vertex.
+// Rows of vertices outside the set are empty and cannot be counted.
+func NewArenaOver[T any](set *VertexSet) *Arena[T] {
+	return &Arena[T]{off: make([]int64, set.Len()+1), set: set}
 }
 
 // NumRows returns the number of rows.
 func (a *Arena[T]) NumRows() int { return len(a.off) - 1 }
 
 // SetCount records row u's length during the count pass. Concurrent calls
-// for distinct vertices are safe.
-func (a *Arena[T]) SetCount(u graph.VertexID, c int) { a.off[u+1] = int64(c) }
+// for distinct vertices are safe. On an arena built over a set, u must be a
+// member.
+func (a *Arena[T]) SetCount(u graph.VertexID, c int) {
+	i := int(u)
+	if a.set != nil {
+		i = a.set.Rank(u)
+	}
+	a.off[i+1] = int64(c)
+}
 
 // FinishCounts turns the recorded counts into offsets (an exclusive prefix
 // sum) and allocates the backing array. Call exactly once, between the
@@ -53,7 +75,16 @@ func (a *Arena[T]) FinishCounts() {
 // Row returns row u, backed by the shared array. After FinishCounts the fill
 // pass writes it; rows of distinct vertices never overlap. Empty rows are
 // empty (never nil) slices.
-func (a *Arena[T]) Row(u graph.VertexID) []T { return a.data[a.off[u]:a.off[u+1]] }
+func (a *Arena[T]) Row(u graph.VertexID) []T {
+	if a.set == nil {
+		return a.data[a.off[u]:a.off[u+1]]
+	}
+	i, ok := a.set.memberRank(u)
+	if !ok {
+		return a.data[:0:0]
+	}
+	return a.data[a.off[i]:a.off[i+1]]
+}
 
 // Total returns the summed length of all rows (valid after FinishCounts).
 func (a *Arena[T]) Total() int { return len(a.data) }

@@ -81,58 +81,39 @@ type DistPartial struct {
 	Cands []PathCand       // DistCombine, DistTwoHop, DistCombine3
 }
 
-// DistPartition executes Algorithm 2's supersteps over one partition of a
-// vertex-cut: the edges assigned to one worker plus a local replica of every
-// endpoint's state. It is the compute half of a dist worker; routing partials
-// to masters and refreshed state to mirrors is the caller's job
-// (internal/wire carries both for cmd/snaple-worker).
-type DistPartition struct {
-	st      *snapleState
-	locals  []graph.VertexID         // sorted global IDs of local vertices
-	index   map[graph.VertexID]int32 // global -> local
-	edgeSrc []int32                  // local source index per local edge
-	edgeDst []int32                  // local target index per local edge
-	data    []VData                  // replica state, one per local vertex
-	// scope holds each local vertex's frontier scope mask on a
-	// query-scoped run (Scope* bits, frontier.go), nil on a full run. The
-	// coordinator computes the global closure and ships only these local
-	// bits; Gather consults the source's bit for the running step.
-	scope []uint8
-
-	// srcContig caches whether edgeSrc is grouped into one contiguous run
-	// per source (0 unknown, 1 yes, 2 no) — the precondition for the
-	// streaming gather. srcSorted additionally records whether those runs
-	// ascend by source index, the precondition for GatherVertex's binary
-	// search; both are filled by the same scan.
-	srcContig uint8
-	srcSorted uint8
-	// GatherStream's per-source scratch, reused across runs and supersteps.
-	gatherIDs   []graph.VertexID
-	gatherSims  []VertexSim
-	gatherCands []PathCand
+// DistTopology is the read-only half of one partition of a vertex-cut: the
+// sorted local vertex table, each local vertex's full out-degree, the
+// partition's edges as local indices, and the source-grouping facts the
+// streaming gather relies on. It is built and validated once per shard —
+// a worker's pinned shard, or the one a connection's ship installed — and
+// shared by every job and connection on it; nothing in it is written after
+// construction. Per-job state lives in DistPartition.
+type DistTopology struct {
+	locals  []graph.VertexID // sorted global IDs of local vertices
+	deg     []int32          // full out-degree per local vertex
+	edgeSrc []int32          // local source index per local edge
+	edgeDst []int32          // local target index per local edge
+	// srcContig records whether edgeSrc is grouped into one contiguous run
+	// per source — the precondition for the run-at-a-time streaming gather.
+	// srcSorted additionally records whether those runs ascend by source
+	// index, the precondition for finding a source's run by binary search
+	// (GatherVertex, scoped gathers).
+	srcContig, srcSorted bool
 }
 
-// NewDistPartition assembles a partition from its shipped description:
+// NewDistTopology validates and indexes a partition's shipped description:
 // the sorted local vertex table, the full out-degree of each local vertex
 // (degrees are global topology metadata the truncation draw needs), and the
-// partition's edges as indices into locals. numVertices is the global vertex
-// count. An empty partition (no locals, no edges) is valid.
-func NewDistPartition(cfg Config, numVertices int, locals []graph.VertexID, deg []int32, edgeSrc, edgeDst []int32) (*DistPartition, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
+// partition's edges as indices into locals. numVertices is the global
+// vertex count. An empty partition (no locals, no edges) is valid. The
+// columns are retained, not copied.
+func NewDistTopology(numVertices int, locals []graph.VertexID, deg []int32, edgeSrc, edgeDst []int32) (*DistTopology, error) {
 	if len(deg) != len(locals) {
 		return nil, fmt.Errorf("core: dist partition: %d degrees for %d local vertices", len(deg), len(locals))
 	}
 	if len(edgeSrc) != len(edgeDst) {
 		return nil, fmt.Errorf("core: dist partition: %d edge sources, %d edge targets", len(edgeSrc), len(edgeDst))
 	}
-	// The step programs index degrees by global vertex ID, so scatter the
-	// local degree column into a global-length table (4 B per vertex — the
-	// same static metadata every other substrate precomputes).
-	fullDeg := make([]int32, numVertices)
-	index := make(map[graph.VertexID]int32, len(locals))
 	for i, v := range locals {
 		if int(v) >= numVertices {
 			return nil, fmt.Errorf("core: dist partition: local vertex %d outside [0,%d)", v, numVertices)
@@ -140,8 +121,6 @@ func NewDistPartition(cfg Config, numVertices int, locals []graph.VertexID, deg 
 		if i > 0 && locals[i-1] >= v {
 			return nil, fmt.Errorf("core: dist partition: local vertex table not strictly ascending at %d", i)
 		}
-		fullDeg[v] = deg[i]
-		index[v] = int32(i)
 	}
 	for i := range edgeSrc {
 		if edgeSrc[i] < 0 || int(edgeSrc[i]) >= len(locals) ||
@@ -149,175 +128,178 @@ func NewDistPartition(cfg Config, numVertices int, locals []graph.VertexID, deg 
 			return nil, fmt.Errorf("core: dist partition: edge %d references vertex outside the local table", i)
 		}
 	}
-	return &DistPartition{
-		st:      &snapleState{cfg: cfg, deg: fullDeg},
-		locals:  locals,
-		index:   index,
-		edgeSrc: edgeSrc,
-		edgeDst: edgeDst,
-		data:    make([]VData, len(locals)),
-	}, nil
+	t := &DistTopology{locals: locals, deg: deg, edgeSrc: edgeSrc, edgeDst: edgeDst}
+	t.srcContig, t.srcSorted = sourceRuns(edgeSrc, len(locals))
+	return t, nil
 }
 
-// Config returns the partition's configuration with defaults applied.
-func (p *DistPartition) Config() Config { return p.st.cfg }
-
-// SetScope installs the per-local frontier scope masks of a query-scoped
-// run (one Scope* bitmask per local vertex, aligned with Locals). A nil
-// scope restores the full-run behaviour.
-func (p *DistPartition) SetScope(scope []uint8) error {
-	if scope != nil && len(scope) != len(p.locals) {
-		return fmt.Errorf("core: dist partition: %d scope masks for %d local vertices", len(scope), len(p.locals))
-	}
-	p.scope = scope
-	return nil
-}
-
-// inScope reports whether local vertex li gathers during step.
-func (p *DistPartition) inScope(step DistStep, li int32) bool {
-	return p.scope == nil || p.scope[li]&step.ScopeBit() != 0
-}
-
-// Locals returns the sorted global IDs of the partition's local vertices.
-// The slice is owned by the partition and must not be modified.
-func (p *DistPartition) Locals() []graph.VertexID { return p.locals }
-
-// NumEdges returns the number of edges placed on this partition.
-func (p *DistPartition) NumEdges() int { return len(p.edgeSrc) }
-
-// LocalIndex returns the local index of v, if v is a local vertex.
-func (p *DistPartition) LocalIndex(v graph.VertexID) (int, bool) {
-	li, ok := p.index[v]
-	return int(li), ok
-}
-
-// gatherEdges folds gather over the partition's edges, accumulating one
-// partial sum per local source vertex (all of Algorithm 2's programs gather
-// over out-edges). On a scoped run, edges whose source is outside step's
-// frontier set contribute nothing — the worker-side twin of the frontier
-// gating the sim backend's step programs apply themselves.
-func gatherEdges[G any](p *DistPartition, step DistStep, gather func(si, di int32) (G, bool), sum func(a, b G) G) ([]G, []bool) {
-	partial := make([]G, len(p.locals))
-	has := make([]bool, len(p.locals))
-	for i := range p.edgeSrc {
-		si, di := p.edgeSrc[i], p.edgeDst[i]
-		if !p.inScope(step, si) {
-			continue
-		}
-		gval, ok := gather(si, di)
-		if !ok {
-			continue
-		}
-		if !has[si] {
-			partial[si], has[si] = gval, true
-		} else {
-			partial[si] = sum(partial[si], gval)
-		}
-	}
-	return partial, has
-}
-
-// packPartials converts aligned (partial, has) columns into the sparse wire
-// form, ascending by local index (hence by vertex ID).
-func packPartials[G any](p *DistPartition, partial []G, has []bool, set func(*DistPartial, G)) []DistPartial {
-	n := 0
-	for _, h := range has {
-		if h {
-			n++
-		}
-	}
-	out := make([]DistPartial, 0, n)
-	for li, h := range has {
-		if !h {
-			continue
-		}
-		dp := DistPartial{V: p.locals[li]}
-		set(&dp, partial[li])
-		out = append(out, dp)
-	}
-	return out
-}
-
-// Gather runs step's gather phase over the partition's edges and returns one
-// partial per contributing local vertex, ascending by vertex ID. The caller
-// routes each partial to the vertex's master (which may be this partition).
-func (p *DistPartition) Gather(step DistStep) ([]DistPartial, error) {
-	switch step {
-	case DistTruncate:
-		prog := step1{p.st}
-		partial, has := gatherEdges(p, step, func(si, di int32) ([]graph.VertexID, bool) {
-			return prog.Gather(p.locals[si], p.locals[di], &p.data[si], &p.data[di], nil)
-		}, prog.Sum)
-		return packPartials(p, partial, has, func(dp *DistPartial, g []graph.VertexID) { dp.Nbrs = g }), nil
-	case DistRelays:
-		prog := step2{p.st}
-		partial, has := gatherEdges(p, step, func(si, di int32) ([]VertexSim, bool) {
-			return prog.Gather(p.locals[si], p.locals[di], &p.data[si], &p.data[di], nil)
-		}, prog.Sum)
-		return packPartials(p, partial, has, func(dp *DistPartial, g []VertexSim) { dp.Sims = g }), nil
-	case DistCombine:
-		prog := step3{p.st}
-		partial, has := gatherEdges(p, step, func(si, di int32) ([]PathCand, bool) {
-			return prog.Gather(p.locals[si], p.locals[di], &p.data[si], &p.data[di], nil)
-		}, prog.Sum)
-		return packPartials(p, partial, has, func(dp *DistPartial, g []PathCand) { dp.Cands = g }), nil
-	case DistTwoHop:
-		prog := step3a{p.st}
-		partial, has := gatherEdges(p, step, func(si, di int32) ([]PathCand, bool) {
-			return prog.Gather(p.locals[si], p.locals[di], &p.data[si], &p.data[di], nil)
-		}, prog.Sum)
-		return packPartials(p, partial, has, func(dp *DistPartial, g []PathCand) { dp.Cands = g }), nil
-	case DistCombine3:
-		prog := step3b{p.st}
-		partial, has := gatherEdges(p, step, func(si, di int32) ([]PathCand, bool) {
-			return prog.Gather(p.locals[si], p.locals[di], &p.data[si], &p.data[di], nil)
-		}, prog.Sum)
-		return packPartials(p, partial, has, func(dp *DistPartial, g []PathCand) { dp.Cands = g }), nil
-	default:
-		return nil, fmt.Errorf("core: unknown dist step %d", int(step))
-	}
-}
-
-// srcContiguous reports whether the partition's edges are grouped into one
-// contiguous run per source vertex — true for every partition cut from a CSR
-// graph in edge order (engine.Dist's deploy), and the precondition for the
-// run-at-a-time streaming gather. The same pass records whether the runs are
-// ascending by source (srcSorted), the extra precondition GatherVertex needs
-// to find a run by binary search. The check is linear and cached.
-func (p *DistPartition) srcContiguous() bool {
-	if p.srcContig != 0 {
-		return p.srcContig == 1
-	}
-	seen := make([]bool, len(p.locals))
-	p.srcContig = 1
-	p.srcSorted = 1
+// sourceRuns reports whether edgeSrc is grouped into one contiguous run per
+// source — true for every partition cut from a CSR graph in edge order —
+// and whether those runs ascend by source index.
+func sourceRuns(edgeSrc []int32, nlocals int) (contig, sorted bool) {
+	seen := make([]bool, nlocals)
+	sorted = true
 	prev := int32(-1)
-	for i := 0; i < len(p.edgeSrc); {
-		si := p.edgeSrc[i]
+	for i := 0; i < len(edgeSrc); {
+		si := edgeSrc[i]
 		if seen[si] {
-			p.srcContig = 2
-			p.srcSorted = 2
-			break
+			return false, false
 		}
 		if si < prev {
-			p.srcSorted = 2
+			sorted = false
 		}
 		seen[si] = true
 		prev = si
-		j := i + 1
-		for j < len(p.edgeSrc) && p.edgeSrc[j] == si {
-			j++
+		for i < len(edgeSrc) && edgeSrc[i] == si {
+			i++
 		}
-		i = j
 	}
-	return p.srcContig == 1
+	return true, sorted
 }
 
-// CanGatherVertex reports whether GatherVertex is available: the partition's
-// edges must be grouped per source with runs ascending by local index, which
-// holds for every partition engine.Dist deploys from a CSR cut.
-func (p *DistPartition) CanGatherVertex() bool {
-	return p.srcContiguous() && p.srcSorted == 1
+// Locals returns the sorted global IDs of the partition's local vertices.
+// The slice is owned by the topology and must not be modified.
+func (t *DistTopology) Locals() []graph.VertexID { return t.locals }
+
+// NumEdges returns the number of edges placed on this partition.
+func (t *DistTopology) NumEdges() int { return len(t.edgeSrc) }
+
+// LocalIndex returns the local index of v, if v is a local vertex: a binary
+// search of the sorted vertex table, so no per-job lookup structure exists.
+func (t *DistTopology) LocalIndex(v graph.VertexID) (int32, bool) {
+	i, ok := slices.BinarySearch(t.locals, v)
+	return int32(i), ok
+}
+
+// CanGatherVertex reports whether GatherVertex is available: the
+// partition's edges must be grouped per source with runs ascending by local
+// index, which holds for every partition deployed from a CSR cut.
+func (t *DistTopology) CanGatherVertex() bool { return t.srcContig && t.srcSorted }
+
+// run returns local source li's edge run [i, j), empty when li has no
+// out-edge here. Requires CanGatherVertex.
+func (t *DistTopology) run(li int32) (i, j int) {
+	i, found := slices.BinarySearch(t.edgeSrc, li)
+	if !found {
+		return i, i
+	}
+	j = i + 1
+	for j < len(t.edgeSrc) && t.edgeSrc[j] == li {
+		j++
+	}
+	return i, j
+}
+
+// DistPartition executes Algorithm 2's supersteps over one partition of a
+// vertex-cut: the read-only DistTopology plus one job's state — a local
+// replica of every endpoint's VData and, on a query-scoped job, the
+// per-local frontier scope masks. It is the compute half of a dist worker;
+// routing partials to masters and refreshed state to mirrors is the
+// caller's job (internal/wire carries both for cmd/snaple-worker).
+//
+// A partition is reused across jobs (Reset): its columns are allocated once
+// and each Reset clears only the locals the previous job wrote or scoped,
+// so a scoped job's set-up costs O(entries), not O(locals).
+type DistPartition struct {
+	t    *DistTopology
+	st   *snapleState // cfg only: degrees come from the topology
+	data []VData      // replica state, one per local vertex
+	// written lists, unordered, the locals whose VData the current job
+	// wrote (wrote marks them), so Reset restores exactly those.
+	written []int32
+	wrote   []bool
+	// scoped marks a query-scoped job. scope holds each local vertex's
+	// frontier scope mask (Scope* bits, frontier.go); the coordinator
+	// computes the global closure and ships only these local bits, and the
+	// gathers consult the source's bit for the running step. scopeList holds
+	// the locals with a non-zero mask, the only sources a scoped gather
+	// visits.
+	scoped        bool
+	scope         []uint8
+	scopeList     []int32
+	scopeUnsorted bool
+	// Per-source gather scratch, reused across jobs and supersteps.
+	gatherIDs   []graph.VertexID
+	gatherSims  []VertexSim
+	gatherCands []PathCand
+}
+
+// NewPartition returns job state over the topology, ready for Reset.
+func (t *DistTopology) NewPartition() *DistPartition {
+	return &DistPartition{
+		t:     t,
+		st:    &snapleState{},
+		data:  make([]VData, len(t.locals)),
+		wrote: make([]bool, len(t.locals)),
+	}
+}
+
+// Reset readies the partition for a new job under cfg: every local vertex
+// the previous job wrote returns to its zero state and the previous scope is
+// cleared. A scoped job then names its in-scope locals with SetScope; an
+// unscoped one gathers over every local source.
+func (p *DistPartition) Reset(cfg Config, scoped bool) error {
+	cfg, err := cfg.Normalized()
+	if err != nil {
+		return err
+	}
+	for _, li := range p.written {
+		p.data[li] = VData{}
+		p.wrote[li] = false
+	}
+	p.written = p.written[:0]
+	for _, li := range p.scopeList {
+		p.scope[li] = 0
+	}
+	p.scopeList = p.scopeList[:0]
+	p.scopeUnsorted = false
+	p.st.cfg = cfg
+	p.scoped = scoped
+	if scoped && p.scope == nil {
+		p.scope = make([]uint8, len(p.t.locals))
+	}
+	return nil
+}
+
+// SetScope installs local vertex li's frontier scope mask for the current
+// scoped job (Scope* bits). Locals never named keep a zero mask and gather
+// nothing; naming one twice keeps the last mask.
+func (p *DistPartition) SetScope(li int32, mask uint8) error {
+	if !p.scoped {
+		return fmt.Errorf("core: dist partition: scope mask on an unscoped job")
+	}
+	if li < 0 || int(li) >= len(p.scope) {
+		return fmt.Errorf("core: dist partition: scope for local %d outside [0,%d)", li, len(p.scope))
+	}
+	if p.scope[li] == 0 && mask != 0 {
+		if n := len(p.scopeList); n > 0 && p.scopeList[n-1] > li {
+			p.scopeUnsorted = true
+		}
+		p.scopeList = append(p.scopeList, li)
+	}
+	p.scope[li] = mask
+	return nil
+}
+
+// Topology returns the partition's read-only half.
+func (p *DistPartition) Topology() *DistTopology { return p.t }
+
+// Config returns the current job's configuration with defaults applied.
+func (p *DistPartition) Config() Config { return p.st.cfg }
+
+// inScope reports whether local vertex li gathers during step.
+func (p *DistPartition) inScope(step DistStep, li int32) bool {
+	return !p.scoped || p.scope[li]&step.ScopeBit() != 0
+}
+
+// validStep rejects step values outside the pipeline.
+func validStep(step DistStep) error {
+	switch step {
+	case DistTruncate, DistRelays, DistCombine, DistTwoHop, DistCombine3:
+		return nil
+	default:
+		return fmt.Errorf("core: unknown dist step %d", int(step))
+	}
 }
 
 // GatherStream runs step's gather phase one source vertex at a time, handing
@@ -326,35 +308,42 @@ func (p *DistPartition) CanGatherVertex() bool {
 // the wire while later sources are still gathering. The DistPartial (and its
 // slices) is scratch owned by the partition, valid only during the emit call;
 // emit must encode or copy, not retain. Partials arrive ascending by local
-// index, one per contributing source, exactly like Gather's. An emit error
-// aborts the stream and is returned.
+// index, one per contributing source. An emit error aborts the stream and is
+// returned.
 //
-// When the partition's edges are not source-contiguous the stream degrades
-// to the buffered Gather and emits its result in order.
+// A scoped job on a partition with sorted source runs visits only its
+// in-scope sources, finding each one's run by binary search, so its cost
+// follows the scope rather than the partition's edge count. When the edges
+// are not source-contiguous the stream degrades to gathering edge by edge
+// into per-source buffers and emits them afterwards.
 func (p *DistPartition) GatherStream(step DistStep, emit func(li int32, dp *DistPartial) error) error {
-	if !p.srcContiguous() {
-		parts, err := p.Gather(step)
-		if err != nil {
-			return err
+	if err := validStep(step); err != nil {
+		return err
+	}
+	t := p.t
+	if !t.srcContig {
+		return p.gatherScattered(step, emit)
+	}
+	var dp DistPartial
+	if p.scoped && t.srcSorted {
+		if p.scopeUnsorted {
+			slices.Sort(p.scopeList)
+			p.scopeUnsorted = false
 		}
-		for i := range parts {
-			li := p.index[parts[i].V]
-			if err := emit(li, &parts[i]); err != nil {
-				return err
+		for _, si := range p.scopeList {
+			i, j := t.run(si)
+			if i < j && p.gatherRun(step, si, i, j, &dp) {
+				if err := emit(si, &dp); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
 	}
-	switch step {
-	case DistTruncate, DistRelays, DistCombine, DistTwoHop, DistCombine3:
-	default:
-		return fmt.Errorf("core: unknown dist step %d", int(step))
-	}
-	var dp DistPartial
-	for i := 0; i < len(p.edgeSrc); {
-		si := p.edgeSrc[i]
+	for i := 0; i < len(t.edgeSrc); {
+		si := t.edgeSrc[i]
 		j := i + 1
-		for j < len(p.edgeSrc) && p.edgeSrc[j] == si {
+		for j < len(t.edgeSrc) && t.edgeSrc[j] == si {
 			j++
 		}
 		if p.gatherRun(step, si, i, j, &dp) {
@@ -367,30 +356,63 @@ func (p *DistPartition) GatherStream(step DistStep, emit func(li int32, dp *Dist
 	return nil
 }
 
+// gatherScattered is GatherStream for a partition whose edges are not
+// grouped per source: each edge is gathered as a one-edge run and its
+// payload appended to its source's buffer, and the buffers are emitted in
+// local order. Concatenation stands in for the step programs' Sum: every
+// apply canonicalises its input (sorts, or selects under a strict total
+// order) before any order could matter.
+func (p *DistPartition) gatherScattered(step DistStep, emit func(li int32, dp *DistPartial) error) error {
+	t := p.t
+	acc := make([]DistPartial, len(t.locals))
+	has := make([]bool, len(t.locals))
+	var dp DistPartial
+	for e, si := range t.edgeSrc {
+		if !p.gatherRun(step, si, e, e+1, &dp) {
+			continue
+		}
+		a := &acc[si]
+		has[si] = true
+		a.V = dp.V
+		a.Nbrs = append(a.Nbrs, dp.Nbrs...)
+		a.Sims = append(a.Sims, dp.Sims...)
+		a.Cands = append(a.Cands, dp.Cands...)
+	}
+	for li := range acc {
+		if has[li] {
+			if err := emit(int32(li), &acc[li]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // gatherRun gathers one source's edge run [i,j) into dp, reporting whether
 // the source contributed. dp's slices alias the partition's gather scratch,
 // valid until the next gatherRun call.
 //
-// The run bodies inline the step programs of snaple.go / khop.go with two
-// divergences that cannot change a bit of the output: the frontier checks
-// are dropped (a dist worker's frontier is always nil — scoping is the
-// shipped scope masks, consulted below), and candidate lists are built in
-// edge order without the buffered path's sorted merge — Apply canonicalises
-// (sortPathCands + value-sorting folds) before any order could matter.
+// The run bodies inline the step programs' gathers (snaple.go, khop.go)
+// with three divergences that cannot change a bit of the output: degrees
+// come from the topology's local column, the frontier checks are dropped
+// (a dist worker's scoping is the shipped scope masks, consulted below), and
+// candidate lists are built in edge order without the gas engine's sorted
+// merge — Apply canonicalises (sortPathCands + value-sorting folds) before
+// any order could matter.
 func (p *DistPartition) gatherRun(step DistStep, si int32, i, j int, dp *DistPartial) bool {
 	if !p.inScope(step, si) {
 		return false
 	}
 	cfg := &p.st.cfg
-	deg := p.st.deg
-	src := p.locals[si]
+	t := p.t
+	src := t.locals[si]
 	srcD := &p.data[si]
 	switch step {
 	case DistTruncate:
 		ids := p.gatherIDs[:0]
-		sd := int(deg[src])
+		sd := int(t.deg[si])
 		for e := i; e < j; e++ {
-			dst := p.locals[p.edgeDst[e]]
+			dst := t.locals[t.edgeDst[e]]
 			if keepTruncated(cfg.Seed, src, dst, sd, cfg.ThrGamma) {
 				ids = append(ids, dst)
 			}
@@ -403,12 +425,12 @@ func (p *DistPartition) gatherRun(step DistStep, si int32, i, j int, dp *DistPar
 	case DistRelays:
 		sims := p.gatherSims[:0]
 		for e := i; e < j; e++ {
-			di := p.edgeDst[e]
-			dst := p.locals[di]
+			di := t.edgeDst[e]
+			dst := t.locals[di]
 			dstD := &p.data[di]
 			sims = append(sims, VertexSim{
 				V:   dst,
-				Sim: simScore(cfg.Score.Sim, src, dst, srcD.Nbrs, dstD.Nbrs, int(deg[src]), int(deg[dst])),
+				Sim: simScore(cfg.Score.Sim, src, dst, srcD.Nbrs, dstD.Nbrs, int(t.deg[si]), int(t.deg[di])),
 			})
 		}
 		p.gatherSims = sims
@@ -419,9 +441,9 @@ func (p *DistPartition) gatherRun(step DistStep, si int32, i, j int, dp *DistPar
 		comb := cfg.Score.Comb.Fn
 		cands := p.gatherCands[:0]
 		for e := i; e < j; e++ {
-			di := p.edgeDst[e]
+			di := t.edgeDst[e]
 			dstD := &p.data[di]
-			suv, ok := lookupSim(srcD.Sims, p.locals[di])
+			suv, ok := lookupSim(srcD.Sims, t.locals[di])
 			if !ok || len(dstD.Sims) == 0 {
 				continue
 			}
@@ -441,9 +463,9 @@ func (p *DistPartition) gatherRun(step DistStep, si int32, i, j int, dp *DistPar
 		comb := cfg.Score.Comb.Fn
 		cands := p.gatherCands[:0]
 		for e := i; e < j; e++ {
-			di := p.edgeDst[e]
+			di := t.edgeDst[e]
 			dstD := &p.data[di]
-			svz, ok := lookupSim(srcD.Sims, p.locals[di])
+			svz, ok := lookupSim(srcD.Sims, t.locals[di])
 			if !ok || len(dstD.Sims) == 0 {
 				continue
 			}
@@ -463,9 +485,9 @@ func (p *DistPartition) gatherRun(step DistStep, si int32, i, j int, dp *DistPar
 		comb := cfg.Score.Comb.Fn
 		cands := p.gatherCands[:0]
 		for e := i; e < j; e++ {
-			di := p.edgeDst[e]
+			di := t.edgeDst[e]
 			dstD := &p.data[di]
-			suv, ok := lookupSim(srcD.Sims, p.locals[di])
+			suv, ok := lookupSim(srcD.Sims, t.locals[di])
 			if !ok {
 				continue
 			}
@@ -505,40 +527,34 @@ func (p *DistPartition) gatherRun(step DistStep, si int32, i, j int, dp *DistPar
 //
 // Requires CanGatherVertex (source-grouped, ascending edge runs).
 func (p *DistPartition) GatherVertex(step DistStep, li int32, dp *DistPartial) (bool, error) {
-	switch step {
-	case DistTruncate, DistRelays, DistCombine, DistTwoHop, DistCombine3:
-	default:
-		return false, fmt.Errorf("core: unknown dist step %d", int(step))
+	if err := validStep(step); err != nil {
+		return false, err
 	}
-	if !p.CanGatherVertex() {
+	if !p.t.CanGatherVertex() {
 		return false, fmt.Errorf("core: GatherVertex on a partition without sorted source runs")
 	}
-	if li < 0 || int(li) >= len(p.locals) {
-		return false, fmt.Errorf("core: GatherVertex: local index %d outside [0,%d)", li, len(p.locals))
+	if li < 0 || int(li) >= len(p.t.locals) {
+		return false, fmt.Errorf("core: GatherVertex: local index %d outside [0,%d)", li, len(p.t.locals))
 	}
-	i, found := slices.BinarySearch(p.edgeSrc, li)
-	if !found {
+	i, j := p.t.run(li)
+	if i == j {
 		return false, nil // no out-edges here, so no contribution
-	}
-	j := i + 1
-	for j < len(p.edgeSrc) && p.edgeSrc[j] == li {
-		j++
 	}
 	return p.gatherRun(step, li, i, j, dp), nil
 }
 
-// Apply runs step's sum+apply phase for one vertex mastered on this
+// Apply runs step's sum+apply phase for local vertex li, mastered on this
 // partition: it folds parts — the local partial plus any partials received
-// from other partitions, in any order — and updates v's local replica, which
+// from other partitions, in any order — and updates li's replica, which
 // becomes the authoritative copy to broadcast. parts may be empty (no edge
 // anywhere contributed); apply still runs, clearing the step's output field
 // exactly as the gas engine does for an empty gather.
-func (p *DistPartition) Apply(step DistStep, v graph.VertexID, parts []DistPartial) error {
-	li, ok := p.index[v]
-	if !ok {
-		return fmt.Errorf("core: apply for %v: vertex %d is not local", step, v)
+func (p *DistPartition) Apply(step DistStep, li int32, parts []DistPartial) error {
+	if li < 0 || int(li) >= len(p.data) {
+		return fmt.Errorf("core: apply for %v: local index %d outside [0,%d)", step, li, len(p.data))
 	}
-	d := &p.data[li]
+	v := p.t.locals[li]
+	d := p.MutableState(li)
 	// A single partial (the streaming session's pre-merged case) skips the
 	// concatenation alloc and feeds its slices to apply directly; the cand
 	// steps still canonicalise, which may reorder the caller's slice in
@@ -587,28 +603,23 @@ func (p *DistPartition) Apply(step DistStep, v graph.VertexID, parts []DistParti
 			step3b{p.st}.Apply(v, d, sum, len(sum) > 0)
 		}
 	default:
-		return fmt.Errorf("core: unknown dist step %d", int(step))
+		return validStep(step)
 	}
 	return nil
 }
 
-// State returns a copy of v's local replica, for master→mirror broadcast and
-// result collection.
-func (p *DistPartition) State(v graph.VertexID) (VData, bool) {
-	li, ok := p.index[v]
-	if !ok {
-		return VData{}, false
-	}
-	return p.data[li], true
-}
+// State returns local vertex li's replica, for master→mirror broadcast and
+// result collection. The pointer is valid until the next Reset; callers
+// must not write through it (MutableState does).
+func (p *DistPartition) State(li int32) *VData { return &p.data[li] }
 
-// MutableState returns a pointer to v's local replica so a refresh can be
-// decoded in place, reusing the slice capacity the previous refresh left
-// behind. The pointer is valid until the partition is rebuilt.
-func (p *DistPartition) MutableState(v graph.VertexID) (*VData, bool) {
-	li, ok := p.index[v]
-	if !ok {
-		return nil, false
+// MutableState returns a pointer to local vertex li's replica so a refresh
+// can be decoded in place, and records the write so the next Reset clears
+// it. The pointer is valid until the next Reset.
+func (p *DistPartition) MutableState(li int32) *VData {
+	if !p.wrote[li] {
+		p.wrote[li] = true
+		p.written = append(p.written, li)
 	}
-	return &p.data[li], true
+	return &p.data[li]
 }

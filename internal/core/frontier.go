@@ -31,11 +31,14 @@ import (
 // — see steps.go), computing exactly these rows yields predictions for S
 // that are bit-identical to a full run filtered to S, on every backend.
 
-// VertexSet is a fixed-universe vertex set: a bitmap for O(1) membership
-// plus the sorted member list the scoped vertex loops iterate. Immutable
-// after construction.
+// VertexSet is a fixed-universe vertex set: a bitmap for O(1) membership,
+// the sorted member list the scoped vertex loops iterate, and per-word
+// prefix popcounts for O(1) Rank — the closure-local dense index that lets
+// per-query state be sized by the set instead of the graph. Immutable after
+// construction.
 type VertexSet struct {
 	bits    []uint64
+	ranks   []uint32 // ranks[w]: members below word w
 	members []graph.VertexID
 }
 
@@ -57,22 +60,52 @@ func bitsAdd(bits []uint64, v graph.VertexID) bool {
 }
 
 // finishSet freezes a bitmap into a VertexSet, materialising the sorted
-// member list with one scan (members come out ascending because the scan
-// walks words and bits in order).
+// member list and the per-word rank table with one scan (members come out
+// ascending because the scan walks words and bits in order).
 func finishSet(bits []uint64, size int) *VertexSet {
 	members := make([]graph.VertexID, 0, size)
+	ranks := make([]uint32, len(bits))
 	for w, word := range bits {
+		ranks[w] = uint32(len(members))
 		for word != 0 {
 			members = append(members, graph.VertexID(w<<6+mathbits.TrailingZeros64(word)))
 			word &= word - 1
 		}
 	}
-	return &VertexSet{bits: bits, members: members}
+	return &VertexSet{bits: bits, ranks: ranks, members: members}
 }
 
 // Contains reports membership. v must lie in the universe the set was built
 // over (the graph's vertex range).
 func (s *VertexSet) Contains(v graph.VertexID) bool { return bitsContain(s.bits, v) }
+
+// Rank returns the number of members below v: a member's index in
+// Members. v must lie in the set's universe.
+func (s *VertexSet) Rank(v graph.VertexID) int {
+	w := v >> 6
+	return int(s.ranks[w]) + mathbits.OnesCount64(s.bits[w]&(1<<(v&63)-1))
+}
+
+// Index returns v's rank when v is a member, and false otherwise —
+// including for vertices outside the set's universe, which Contains and
+// Rank do not accept.
+func (s *VertexSet) Index(v graph.VertexID) (int, bool) {
+	if int(v>>6) >= len(s.bits) {
+		return 0, false
+	}
+	return s.memberRank(v)
+}
+
+// memberRank returns v's rank when v is a member: Contains and Rank with
+// one read of v's word.
+func (s *VertexSet) memberRank(v graph.VertexID) (int, bool) {
+	w, bit := v>>6, uint64(1)<<(v&63)
+	word := s.bits[w]
+	if word&bit == 0 {
+		return 0, false
+	}
+	return int(s.ranks[w]) + mathbits.OnesCount64(word&(bit-1)), true
+}
 
 // Len returns the member count.
 func (s *VertexSet) Len() int { return len(s.members) }

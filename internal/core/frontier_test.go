@@ -214,3 +214,47 @@ func TestFrontierStepHasWork(t *testing.T) {
 		}
 	}
 }
+
+// TestVertexSetRank is a property test of Rank/Index against Members: on
+// random sets of varied density (word boundaries, empty and full words
+// included), every member's rank is its position in Members, and every
+// vertex's rank counts the members below it.
+func TestVertexSetRank(t *testing.T) {
+	for trial, density := range []float64{0, 0.01, 0.2, 0.5, 0.97, 1} {
+		n := 64*7 + trial*13 // not always a whole number of words
+		bits := newBits(n)
+		size := 0
+		for v := 0; v < n; v++ {
+			if randx.Float64(uint64(trial), uint64(v), 5) < density && bitsAdd(bits, graph.VertexID(v)) {
+				size++
+			}
+		}
+		s := finishSet(bits, size)
+		for i, v := range s.Members() {
+			if r := s.Rank(v); r != i {
+				t.Fatalf("density %v: Rank(%d) = %d, want %d", density, v, r, i)
+			}
+		}
+		below := 0
+		for v := 0; v < n; v++ {
+			vid := graph.VertexID(v)
+			if r := s.Rank(vid); r != below {
+				t.Fatalf("density %v: Rank(%d) = %d, want %d members below", density, v, r, below)
+			}
+			r, ok := s.Index(vid)
+			if ok != s.Contains(vid) || (ok && r != below) {
+				t.Fatalf("density %v: Index(%d) = %d, %v", density, v, r, ok)
+			}
+			if s.Contains(vid) {
+				below++
+			}
+		}
+		if below != s.Len() {
+			t.Fatalf("density %v: counted %d members, Len %d", density, below, s.Len())
+		}
+		// Outside the universe Index reports absence instead of panicking.
+		if _, ok := s.Index(graph.VertexID(len(bits) * 64)); ok {
+			t.Fatalf("density %v: Index past the universe reported a member", density)
+		}
+	}
+}

@@ -54,29 +54,55 @@ func sortPathCands(cands []PathCand) {
 // into the Scratch's reused row buffer instead, still allocation-free in
 // steady state.
 type StepRunner struct {
-	g        graph.View
-	csr      *graph.Digraph // non-nil fast path: g is (or unwraps to) a CSR
-	cfg      Config
-	deg      []int32   // full out-degrees, static topology metadata
+	g   graph.View
+	csr *graph.Digraph // non-nil fast path: g is (or unwraps to) a CSR
+	cfg Config
+	// deg is the out-degree table of non-CSR views (a CSR reads offset
+	// differences instead): indexed by vertex on a full run, by Trunc rank
+	// on a scoped one, so a query never pays for the whole graph's degrees.
+	deg      []int32
 	frontier *Frontier // query scope; nil = full run
 }
 
-// NewStepRunner validates cfg, fills defaults, precomputes the degree table
-// shared by all steps and — for a query-scoped run (cfg.Sources non-empty)
-// — the frontier closure that gates every step primitive.
+// NewStepRunner validates cfg, fills defaults and — for a query-scoped run
+// (cfg.Sources non-empty) — computes the frontier closure that gates every
+// step primitive. Views other than a frozen CSR also get a degree table,
+// covering the closure on a scoped run and every vertex on a full one.
 func NewStepRunner(g graph.View, cfg Config) (*StepRunner, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	st := newSnapleState(g, cfg)
 	f, err := NewFrontier(g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	r := &StepRunner{g: g, cfg: cfg, deg: st.deg, frontier: f}
+	r := &StepRunner{g: g, cfg: cfg, frontier: f}
 	r.csr, _ = graph.AsCSR(g)
+	switch {
+	case r.csr != nil:
+	case f != nil:
+		r.deg = make([]int32, f.Trunc.Len())
+		for i, u := range f.Trunc.Members() {
+			r.deg[i] = int32(g.OutDegree(u))
+		}
+	default:
+		r.deg = newSnapleState(g, cfg).deg
+	}
 	return r, nil
+}
+
+// degree returns u's full out-degree. On a scoped run u must lie in the
+// closure (every step reads degrees of Trunc members only).
+func (r *StepRunner) degree(u graph.VertexID) int {
+	switch {
+	case r.csr != nil:
+		return r.csr.OutDegree(u)
+	case r.frontier != nil:
+		return int(r.deg[r.frontier.Trunc.Rank(u)])
+	default:
+		return int(r.deg[u])
+	}
 }
 
 // outRow returns u's sorted out-neighbour row: a direct CSR slice on the
@@ -130,7 +156,7 @@ func (r *StepRunner) TruncateCount(u graph.VertexID, s *Scratch) int {
 	if !r.frontier.InTrunc(u) {
 		return 0
 	}
-	deg := int(r.deg[u])
+	deg := r.degree(u)
 	if r.cfg.ThrGamma == Unlimited || deg <= r.cfg.ThrGamma {
 		return deg
 	}
@@ -152,7 +178,7 @@ func (r *StepRunner) TruncateFill(u graph.VertexID, dst []graph.VertexID, s *Scr
 		return
 	}
 	nbrs := r.outRow(u, s)
-	deg := int(r.deg[u])
+	deg := r.degree(u)
 	if r.cfg.ThrGamma == Unlimited || deg <= r.cfg.ThrGamma {
 		copy(dst, nbrs)
 		return
@@ -176,7 +202,7 @@ func (r *StepRunner) RelayCount(u graph.VertexID) int {
 	if !r.frontier.InSims(u) {
 		return 0
 	}
-	deg := int(r.deg[u])
+	deg := r.degree(u)
 	if r.cfg.KLocal != Unlimited && deg > r.cfg.KLocal {
 		return r.cfg.KLocal
 	}
@@ -195,9 +221,9 @@ func (r *StepRunner) RelaysFill(u graph.VertexID, trunc *Arena[graph.VertexID], 
 		return
 	}
 	cands := s.sims[:0]
-	uTrunc := trunc.Row(u)
+	uTrunc, du := trunc.Row(u), r.degree(u)
 	for _, v := range nbrs {
-		sim := simScore(r.cfg.Score.Sim, u, v, uTrunc, trunc.Row(v), int(r.deg[u]), int(r.deg[v]))
+		sim := simScore(r.cfg.Score.Sim, u, v, uTrunc, trunc.Row(v), du, r.degree(v))
 		cands = append(cands, VertexSim{V: v, Sim: sim})
 	}
 	s.sims = cands

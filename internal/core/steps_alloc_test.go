@@ -143,6 +143,100 @@ func TestStepFunctionsAllocationFreeOverlay(t *testing.T) {
 	}
 }
 
+// TestStepFunctionsAllocationFreeRanked pins the arena contract on the
+// query-scoped path engine.Local takes: arenas built over the frontier sets
+// (rows indexed by rank), degrees from CSR offsets or — on an overlay view —
+// from the closure-ranked table. Once built and warm, a pass of every
+// fill/append function over the scoped members allocates nothing.
+func TestStepFunctionsAllocationFreeRanked(t *testing.T) {
+	base := allocTestGraph(t, 80)
+	v := func(u int) graph.VertexID { return graph.VertexID(u) }
+	overlay, err := graph.NewDelta(base).Apply(
+		[]graph.Edge{{Src: v(1), Dst: v(70)}, {Src: v(20), Dst: v(3)}},
+		[]graph.Edge{{Src: v(0), Dst: base.OutNeighbors(0)[0]}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		g     graph.View
+		paths int
+	}{
+		{"csr/paths=2", base, 2},
+		{"csr/paths=3", base, 3},
+		{"overlay/paths=2", overlay, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := ScoreByName("linearSum", 0.9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Score: spec, K: 5, KLocal: 4, ThrGamma: 8, Paths: tc.paths, Seed: 7,
+				Sources: []graph.VertexID{0, 1, 20, 41}}
+			r, err := NewStepRunner(tc.g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := r.Frontier()
+			s := r.NewScratch()
+			trunc := NewArenaOver[graph.VertexID](f.Trunc)
+			for _, u := range f.Trunc.Members() {
+				trunc.SetCount(u, r.TruncateCount(u, s))
+			}
+			trunc.FinishCounts()
+			for _, u := range f.Trunc.Members() {
+				r.TruncateFill(u, trunc.Row(u), s)
+			}
+			sims := NewArenaOver[VertexSim](f.Sims)
+			for _, u := range f.Sims.Members() {
+				sims.SetCount(u, r.RelayCount(u))
+			}
+			sims.FinishCounts()
+			var twoHop *Arena[PathCand]
+			if tc.paths == 3 {
+				for _, u := range f.Sims.Members() {
+					r.RelaysFill(u, trunc, sims.Row(u), s)
+				}
+				twoHop = NewArenaOver[PathCand](f.TwoHop)
+				for _, u := range f.TwoHop.Members() {
+					twoHop.SetCount(u, r.TwoHopCount(u, sims))
+				}
+				twoHop.FinishCounts()
+			}
+			buf := make([]Prediction, 0, f.Pred.Len()*cfg.K)
+
+			allocs := testing.AllocsPerRun(5, func() {
+				buf = buf[:0]
+				for _, u := range f.Trunc.Members() {
+					r.TruncateFill(u, trunc.Row(u), s)
+				}
+				for _, u := range f.Sims.Members() {
+					r.RelaysFill(u, trunc, sims.Row(u), s)
+				}
+				if tc.paths == 3 {
+					for _, u := range f.TwoHop.Members() {
+						r.TwoHopFill(u, sims, twoHop.Row(u))
+					}
+				}
+				for _, u := range f.Pred.Members() {
+					if tc.paths == 3 {
+						buf = r.Combine3Append(u, trunc, sims, twoHop, s, buf)
+					} else {
+						buf = r.CombineAppend(u, trunc, sims, s, buf)
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("ranked steady-state pass allocated %.1f times per run, want 0", allocs)
+			}
+			if len(buf) == 0 {
+				t.Error("the scoped pass predicted nothing; the test exercises no work")
+			}
+		})
+	}
+}
+
 // TestCountPassesMatchFills pins the count/fill contract: the count pass
 // must predict the fill pass's row sizes exactly for every vertex (the
 // arena protocol writes rows with no slack).

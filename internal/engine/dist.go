@@ -211,10 +211,23 @@ func Freeze(g graph.View) (*graph.Digraph, error) {
 // frontier closure touches, and parts stays nil.
 type deployment struct {
 	parts      []wire.Partition
-	masterPart []int32   // per vertex; -1 when the vertex has no edges
-	mirrors    [][]int32 // per vertex: replica partitions excluding the master
-	replicas   int       // total replica count
-	present    int       // vertices with at least one replica
+	masterPart []int32   // per slot; -1 when the vertex has no master
+	mirrors    [][]int32 // per slot: replica partitions excluding the master
+	// scope, when set, makes the routing tables closure-local: slot i
+	// belongs to the scope's member of rank i (a scoped query's Trunc), so
+	// they cost O(closure) rather than O(V). Nil means slot = vertex ID.
+	scope    *core.VertexSet
+	replicas int // total replica count
+	present  int // vertices with at least one replica
+}
+
+// slot returns v's index into masterPart/mirrors, false when the tables
+// hold no entry for v (outside the graph, or outside a scoped closure).
+func (d *deployment) slot(v graph.VertexID) (int, bool) {
+	if d.scope == nil {
+		return int(v), int(v) < len(d.masterPart)
+	}
+	return d.scope.Index(v)
 }
 
 func (d *deployment) replicationFactor() float64 {

@@ -478,10 +478,11 @@ func (rt *router) appendRaw(j int, kind wire.Kind, rec []byte) {
 // routePartial routes one encoded partial record to every replica of its
 // vertex's master partition.
 func (rt *router) routePartial(v graph.VertexID, rec []byte) error {
-	mp := rt.run.dep.masterPart[v]
-	if mp < 0 {
+	i, ok := rt.run.dep.slot(v)
+	if !ok || rt.run.dep.masterPart[i] < 0 {
 		return fmt.Errorf("partial for vertex %d, which no partition hosts", v)
 	}
+	mp := rt.run.dep.masterPart[i]
 	for _, j := range rt.run.groups[mp] {
 		rt.appendRaw(j, wire.KindForeign, rec)
 	}
@@ -491,7 +492,11 @@ func (rt *router) routePartial(v graph.VertexID, rec []byte) error {
 // routeState fans one encoded state record out to every replica of every
 // partition holding one of the vertex's mirrors.
 func (rt *router) routeState(v graph.VertexID, rec []byte) error {
-	for _, mp := range rt.run.dep.mirrors[v] {
+	i, ok := rt.run.dep.slot(v)
+	if !ok {
+		return fmt.Errorf("state for vertex %d, which no partition hosts", v)
+	}
+	for _, mp := range rt.run.dep.mirrors[i] {
 		for _, j := range rt.run.groups[mp] {
 			rt.appendRaw(j, wire.KindMirrors, rec)
 		}

@@ -56,7 +56,9 @@ type Stats struct {
 	// paper's headline scale metric normalised to this run's graph.
 	EdgesPerSec float64
 	// AllocBytes / AllocObjects are heap bytes and objects allocated during
-	// the run (runtime.MemStats deltas; approximate under concurrent load).
+	// the run (deltas of the runtime/metrics counters that back MemStats'
+	// TotalAlloc and Mallocs, read without stopping the world; process-wide,
+	// so approximate under concurrent load).
 	// Set by the serial and local backends, which are engineered to keep the
 	// per-vertex steady state allocation-free; for dist and fleet runs they
 	// sum the worker-reported deltas (the max across in-process workers,

@@ -655,7 +655,7 @@ func (f *Fleet) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (
 		}
 		if f.inproc {
 			// In-process workers share this process, so each worker's
-			// MemStats delta already covers everyone (coordinator included):
+			// allocation delta already covers everyone (coordinator included):
 			// summing would count the same heap N times. The max is the
 			// closest honest process-wide figure.
 			st.AllocBytes = max(st.AllocBytes, res.Stats.AllocBytes)
@@ -738,16 +738,18 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *deployment, [][]wire.S
 		return nil, nil, nil, nil
 	}
 
+	// The routing tables are indexed by Trunc rank: every vertex a partial
+	// or refresh can name lies in the closure.
+	closure := frontier.Trunc
 	dep := &deployment{
-		masterPart: make([]int32, f.g.NumVertices()),
-		mirrors:    make([][]int32, f.g.NumVertices()),
-	}
-	for v := range dep.masterPart {
-		dep.masterPart[v] = -1
+		masterPart: make([]int32, closure.Len()),
+		mirrors:    make([][]int32, closure.Len()),
+		scope:      closure,
 	}
 	entries := make([][]wire.ScopeEntry, len(touched))
 	hosts := make([]int32, 0, 8)
-	for _, v := range frontier.Trunc.Members() {
+	for i, v := range closure.Members() {
+		dep.masterPart[i] = -1
 		hosts = hosts[:0]
 		for _, s := range f.hostShards[v] {
 			if touchedSet[s] {
@@ -763,7 +765,7 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *deployment, [][]wire.S
 		// The same keyed draw the full deployment uses, restricted to the
 		// touched hosts — deterministic, and placement never changes results.
 		mp := hosts[randx.Uint64n(uint64(len(hosts)), f.seed, uint64(v), 0xA5)]
-		dep.masterPart[v] = groupOf[mp]
+		dep.masterPart[i] = groupOf[mp]
 		remote := len(hosts) > 1
 		mask := frontier.ScopeMask(v)
 		for _, s := range hosts {
@@ -783,7 +785,7 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *deployment, [][]wire.S
 					mirrors = append(mirrors, groupOf[s])
 				}
 			}
-			dep.mirrors[v] = mirrors
+			dep.mirrors[i] = mirrors
 		}
 		dep.replicas += len(hosts)
 		dep.present++

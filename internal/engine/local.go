@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"snaple/internal/allocs"
 	"snaple/internal/core"
 	"snaple/internal/graph"
 )
@@ -52,10 +53,7 @@ const (
 
 // Predict implements Backend.
 func (l Local) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
-	// Both MemStats reads sit outside the timed window so their
-	// stop-the-world pauses never inflate WallSeconds/EdgesPerSec.
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
+	a0 := allocs.Read()
 	start := time.Now()
 	workers := l.Workers
 	if workers <= 0 {
@@ -88,8 +86,9 @@ func (l Local) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, 
 	}
 
 	// Step 1: truncated neighbourhoods Γ̂ (count pass, prefix sum, fill pass).
-	truncPass := passFor(f.StepSet(core.DistTruncate))
-	trunc := core.NewArena[graph.VertexID](n)
+	truncSet := f.StepSet(core.DistTruncate)
+	truncPass := passFor(truncSet)
+	trunc := newArena[graph.VertexID](n, truncSet)
 	forEachVertex(r, workers, truncPass, func(w *worker, u graph.VertexID) {
 		trunc.SetCount(u, r.TruncateCount(u, w.s))
 	})
@@ -99,8 +98,9 @@ func (l Local) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, 
 	})
 
 	// Step 2: raw similarities and k_local relay selection.
-	simsPass := passFor(f.StepSet(core.DistRelays))
-	sims := core.NewArena[core.VertexSim](n)
+	simsSet := f.StepSet(core.DistRelays)
+	simsPass := passFor(simsSet)
+	sims := newArena[core.VertexSim](n, simsSet)
 	forEachVertex(r, workers, simsPass, func(w *worker, u graph.VertexID) {
 		sims.SetCount(u, r.RelayCount(u))
 	})
@@ -119,8 +119,9 @@ func (l Local) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, 
 		st.ScoredVertices = f.Pred.Len()
 	}
 	if r.Config().Paths == 3 {
-		twoPass := passFor(f.StepSet(core.DistTwoHop))
-		twoHop := core.NewArena[core.PathCand](n)
+		twoSet := f.StepSet(core.DistTwoHop)
+		twoPass := passFor(twoSet)
+		twoHop := newArena[core.PathCand](n, twoSet)
 		forEachVertex(r, workers, twoPass, func(w *worker, v graph.VertexID) {
 			twoHop.SetCount(v, r.TwoHopCount(v, sims))
 		})
@@ -149,11 +150,18 @@ func (l Local) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, 
 	if st.WallSeconds > 0 {
 		st.EdgesPerSec = float64(g.NumEdges()) / st.WallSeconds
 	}
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-	st.AllocBytes = int64(m1.TotalAlloc - m0.TotalAlloc)
-	st.AllocObjects = int64(m1.Mallocs - m0.Mallocs)
+	st.AllocBytes, st.AllocObjects = allocs.Since(a0)
 	return pred, st, nil
+}
+
+// newArena returns one step's output arena: a row per vertex of [0, n) on a
+// full run (set nil), a row per member of the step's frontier set on a
+// scoped one — so a query's step state costs O(closure), not O(V).
+func newArena[T any](n int, set *core.VertexSet) *core.Arena[T] {
+	if set == nil {
+		return core.NewArena[T](n)
+	}
+	return core.NewArenaOver[T](set)
 }
 
 // worker is the per-goroutine state of a pass: the reusable step scratch

@@ -1,9 +1,9 @@
 package engine
 
 import (
-	"runtime"
 	"time"
 
+	"snaple/internal/allocs"
 	"snaple/internal/core"
 	"snaple/internal/graph"
 )
@@ -18,9 +18,7 @@ func (Serial) Name() string { return "serial" }
 
 // Predict implements Backend.
 func (Serial) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
-	// MemStats reads stay outside the timed window (see Local.Predict).
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
+	a0 := allocs.Read()
 	start := time.Now()
 	pred, err := core.ReferenceSnaple(g, cfg)
 	st := Stats{Engine: "serial", Workers: 1, WallSeconds: time.Since(start).Seconds(), ScoredVertices: g.NumVertices()}
@@ -35,9 +33,6 @@ func (Serial) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, e
 			st.ScoredVertices = f.Pred.Len()
 		}
 	}
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-	st.AllocBytes = int64(m1.TotalAlloc - m0.TotalAlloc)
-	st.AllocObjects = int64(m1.Mallocs - m0.Mallocs)
+	st.AllocBytes, st.AllocObjects = allocs.Since(a0)
 	return pred, st, err
 }

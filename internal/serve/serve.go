@@ -167,6 +167,7 @@ func New(opts Options) (*Server, error) {
 	if opts.CacheSize <= 0 {
 		opts.CacheSize = 65536
 	}
+	now := time.Now()
 	s := &Server{
 		be:      opts.Backend,
 		cfg:     cfg,
@@ -178,7 +179,8 @@ func New(opts Options) (*Server, error) {
 		queue:   make(chan *batchReq),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
-		started: time.Now(),
+		started: now,
+		stats:   serverStats{start: now},
 		view:    opts.Graph,
 		nv:      opts.Graph.NumVertices(),
 	}

@@ -22,6 +22,8 @@ const qpsWindow = 60 * time.Second
 type serverStats struct {
 	mu sync.Mutex
 
+	start time.Time // when the server began observing; bounds the QPS span
+
 	requests    int64 // /v1/predict requests answered (success or error)
 	ids         int64 // vertices asked for, summed over requests
 	cacheHits   int64 // ids answered from the LRU
@@ -186,9 +188,14 @@ type Snapshot struct {
 
 // snapshot computes the report. Percentiles cover the ring's samples (the
 // last latencyRingSize requests); QPS counts ring samples inside the last
-// qpsWindow — when the ring wrapped within the window, the rate is
-// extrapolated from the span the ring still covers.
-func (s *serverStats) snapshot() Snapshot {
+// qpsWindow and divides by the time those samples actually cover: the
+// window, or less when the server is younger than it (a server that has
+// taken 200 req/s for 10 s reports 200, not 10/60 of it), or the span the
+// ring still holds when it wrapped within the window.
+func (s *serverStats) snapshot() Snapshot { return s.snapshotAt(time.Now()) }
+
+// snapshotAt is snapshot with the clock reading supplied.
+func (s *serverStats) snapshotAt(now time.Time) Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := Snapshot{
@@ -213,7 +220,6 @@ func (s *serverStats) snapshot() Snapshot {
 		return snap
 	}
 	lats := make([]float64, 0, n)
-	now := time.Now()
 	recent := 0
 	var oldest time.Time
 	for i := 0; i < n; i++ {
@@ -230,12 +236,14 @@ func (s *serverStats) snapshot() Snapshot {
 	snap.P50Ms = percentile(lats, 0.50)
 	snap.P99Ms = percentile(lats, 0.99)
 	if recent > 0 {
-		span := qpsWindow.Seconds()
+		span := qpsWindow
 		if s.ringN > latencyRingSize && recent == n { // ring wrapped inside the window
-			span = now.Sub(oldest).Seconds()
+			span = now.Sub(oldest)
+		} else if !s.start.IsZero() {
+			span = min(span, now.Sub(s.start))
 		}
 		if span > 0 {
-			snap.QPS = float64(recent) / span
+			snap.QPS = float64(recent) / span.Seconds()
 		}
 	}
 	return snap

@@ -173,7 +173,7 @@ func (j JobSpec) Config() (core.Config, error) {
 // Partition is the serializable description of one worker's share of the
 // vertex-cut: its local vertex table, the out-degrees of those vertices, the
 // partition's edges as indices into the table, and the master/mirror roles
-// the coordinator elected. It is everything core.NewDistPartition needs plus
+// the coordinator elected. It is everything core.NewDistTopology needs plus
 // the routing roles the worker consults per superstep.
 type Partition struct {
 	// Part is the partition index in [0, workers).
@@ -321,7 +321,8 @@ type WorkerStats struct {
 	// excluding time blocked on the wire.
 	BusySeconds float64
 	// AllocBytes/AllocObjects are the worker process's heap deltas across the
-	// supersteps (runtime.MemStats).
+	// supersteps (the runtime/metrics counters behind MemStats' TotalAlloc
+	// and Mallocs, read without stopping the world).
 	AllocBytes, AllocObjects int64
 	// HeapBytes is the worker's live heap after the final superstep — the
 	// dist analog of the sim backend's per-node memory footprint.

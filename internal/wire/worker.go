@@ -1,16 +1,16 @@
 package wire
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
+	"snaple/internal/allocs"
 	"snaple/internal/core"
 	"snaple/internal/graph"
 )
@@ -39,11 +39,13 @@ func Serve(l net.Listener, logf func(format string, args ...any)) error {
 	return ServeWith(l, logf, ServeOptions{})
 }
 
-// ServeWith is Serve with explicit options.
+// ServeWith is Serve with explicit options. A resident shard's read-only
+// indexes are built once here and shared by every connection.
 func ServeWith(l net.Listener, logf func(format string, args ...any), o ServeOptions) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	pinned := holdShard(o.Resident)
 	for {
 		c, err := l.Accept()
 		if err != nil {
@@ -54,7 +56,7 @@ func ServeWith(l net.Listener, logf func(format string, args ...any), o ServeOpt
 		}
 		logf("session from %s", c.RemoteAddr())
 		go func(c net.Conn) {
-			if err := ServeConnWith(c, o); err != nil {
+			if err := serveConn(c, pinned); err != nil {
 				logf("session from %s failed: %v", c.RemoteAddr(), err)
 			} else {
 				logf("session from %s done", c.RemoteAddr())
@@ -79,7 +81,16 @@ func ServeConn(rwc io.ReadWriteCloser) error {
 // closed, and the process stays up for the next coordinator. A panic in the
 // session (a decode bug reached by malformed input) is converted to the
 // same shape instead of taking the process down.
-func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
+//
+// A resident shard's read-only indexes are built per call; a worker serving
+// many connections on one shard should use ServeWith, which builds them once.
+func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) error {
+	return serveConn(rwc, holdShard(o.Resident))
+}
+
+// serveConn executes one coordinator session against the pinned shard (nil
+// for a worker that is shipped its shard per connection).
+func serveConn(rwc io.ReadWriteCloser, pinned *heldShard) (err error) {
 	conn, err := accept(rwc)
 	if err != nil {
 		conn.SendError(err)
@@ -94,19 +105,20 @@ func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
 		}
 	}()
 	// One connection carries a sequence of jobs against one shard: the
-	// pinned one, or the one this connection's ship installed. Each
-	// KindAttach replaces the current session, and collect leaves the
-	// connection open for the next job — coordinators re-attach per query on
-	// their standing connections. The measured window (m0) opens at the
+	// pinned one, or the one this connection's ship installed. The session
+	// holds the job state and lives as long as the (connection, shard)
+	// pair: each KindAttach resets it for the next job, and collect leaves
+	// the connection open for another — coordinators re-attach per query on
+	// their standing connections. The measured window (a0) opens at the
 	// first post-Ready message of each job, not at Ready: the coordinator
 	// barriers on every worker's Ready before the first KindStepBegin, so by
-	// then all sessions (in-process ones included) have finished building
+	// then all sessions (in-process ones included) have finished attaching
 	// and the window holds only superstep and collect work — the same
 	// boundary the coordinator's own wall-clock and traffic counters use.
-	shard := o.Resident
+	shard := pinned
 	var s *session
-	var m0 runtime.MemStats
-	m0set := false
+	var a0 allocs.Sample
+	a0set := false
 	for {
 		m, err := conn.Recv()
 		if err != nil {
@@ -125,24 +137,34 @@ func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
 		var reply Msg // sent when its Kind is set
 		switch m.Kind {
 		case KindShip:
-			shard, err = installShard(&m.Shard, o.Resident)
+			shard, err = installShard(&m.Shard, pinned)
 			s, reply.Kind = nil, KindReady
 		case KindAttach:
-			s, err = attachSession(conn, m, shard)
-			m0set, reply.Kind = false, KindReady
-		case KindStepBegin, KindCollect:
+			if shard == nil {
+				err = errors.New("wire: attach before ship on a non-resident worker")
+				break
+			}
 			if s == nil {
+				s, err = newSession(conn, shard)
+				if err != nil {
+					break
+				}
+			}
+			err = s.attach(m)
+			a0set, reply.Kind = false, KindReady
+		case KindStepBegin, KindCollect:
+			if s == nil || !s.attached {
 				err = fmt.Errorf("wire: %s before attach", m.Kind)
 				break
 			}
-			if !m0set {
-				runtime.ReadMemStats(&m0)
-				m0set = true
+			if !a0set {
+				a0 = allocs.Read()
+				a0set = true
 			}
 			if m.Kind == KindStepBegin {
 				err = s.runStep(m.Step, m.Final)
 			} else {
-				reply = Msg{Kind: KindResult, Result: s.collect(&m0)}
+				reply = Msg{Kind: KindResult, Result: s.collect(a0)}
 			}
 		default:
 			err = fmt.Errorf("wire: unexpected %s mid-session", m.Kind)
@@ -170,18 +192,67 @@ type recRef struct {
 
 const selfChunk = int32(-1)
 
-// session is a worker's state for one job: the compute partition plus the
-// master/mirror roles the coordinator elected, and the reusable streaming
-// buffers of the pipelined superstep.
-type session struct {
-	conn      *Conn
-	partIdx   int
-	part      *core.DistPartition
-	isMaster  []bool
-	hasRemote []bool
-	busyNS    atomic.Int64 // gather/apply/refresh goroutines all contribute
+// heldShard is a shard as a worker serves it: the shipped or pinned columns
+// plus the read-only indexes built from them once — the compute topology
+// (degrees by local index, the sorted-table lookup, the source-run flags)
+// and the baked full-run master list. Every connection on the shard shares
+// it; nothing in it is written after holdShard.
+type heldShard struct {
+	*ResidentShard
+	topo    *core.DistTopology
+	err     error   // the columns failed validation; every attach reports it
+	masters []int32 // baked full-run masters, ascending
+}
 
-	// Per-step state, reused across supersteps.
+// holdShard indexes a shard for serving; nil stays nil. A validation
+// failure is kept and returned by every attach, so a bad shard costs the
+// sessions that use it, not the process.
+func holdShard(sh *ResidentShard) *heldShard {
+	if sh == nil {
+		return nil
+	}
+	p := &sh.Part
+	h := &heldShard{ResidentShard: sh}
+	h.topo, h.err = core.NewDistTopology(p.NumVertices, p.Locals, p.Deg, p.EdgeSrc, p.EdgeDst)
+	if h.err == nil && (len(p.IsMaster) != len(p.Locals) || len(p.HasRemote) != len(p.Locals)) {
+		h.err = fmt.Errorf("wire: %d master / %d remote flags for %d locals", len(p.IsMaster), len(p.HasRemote), len(p.Locals))
+	}
+	if h.err != nil {
+		return h
+	}
+	for li, m := range p.IsMaster {
+		if m {
+			h.masters = append(h.masters, int32(li))
+		}
+	}
+	return h
+}
+
+// session is a connection's job state on one shard: the compute partition,
+// the master/mirror roles of the current job and the reusable streaming
+// buffers of the pipelined superstep. It lives as long as the (connection,
+// shard) pair; each attach resets it for the next job, touching only what
+// the previous job touched, so a scoped attach costs O(entries) rather than
+// O(locals) and allocates nothing once the buffers are warm.
+type session struct {
+	conn     *Conn
+	shard    *heldShard
+	part     *core.DistPartition
+	attached bool         // an attach succeeded; steps may run
+	busyNS   atomic.Int64 // gather/apply/refresh goroutines all contribute
+
+	// Roles of the current job. A full job reads the shard's baked columns
+	// directly (never writing them); a scoped job points them at the
+	// session's own columns, set for its entries' locals only (listed) and
+	// cleared again by the next attach. masters lists the job's masters,
+	// ascending: every per-step loop over masters walks it, not the locals.
+	isMaster, hasRemote  []bool
+	ownMaster, ownRemote []bool
+	listed               []int32
+	masters              []int32
+	scopedMasters        []int32 // backing store of masters on scoped jobs
+
+	// Per-step state, reused across supersteps and jobs.
 	sendBB BatchBuilder // outgoing chunk under construction (sender goroutine)
 	// regather marks a partition whose masters can recompute their own
 	// partial at apply time (core.DistPartition.GatherVertex) — the normal
@@ -198,16 +269,17 @@ type session struct {
 	applyOne  [1]core.DistPartial
 	applySc   core.DistPartial // merged-partial scratch for apply
 
-	collectPreds []VertexPreds // result storage, presized at ship
+	collectPreds []VertexPreds // result storage, reused per collect
 }
 
 // installShard checks a shipped shard and returns the one the connection
 // serves from now on. A worker pinned to a resident shard keeps it: a ship
 // for the same fleet slot is acknowledged without replacing anything, and a
 // ship cut from a different (graph, cut) is refused as a manifest mismatch.
-func installShard(sh, pinned *ResidentShard) (*ResidentShard, error) {
+// A newly installed shard is indexed once, here, for all its jobs.
+func installShard(sh *ResidentShard, pinned *heldShard) (*heldShard, error) {
 	if pinned != nil {
-		return pinned, checkShard(pinned, sh.Fingerprint, sh.Part.Part, sh.Shards, "ship")
+		return pinned, checkShard(pinned.ResidentShard, sh.Fingerprint, sh.Part.Part, sh.Shards, "ship")
 	}
 	if err := sh.Part.Validate(); err != nil {
 		return nil, err
@@ -215,7 +287,11 @@ func installShard(sh, pinned *ResidentShard) (*ResidentShard, error) {
 	if sh.Part.Part >= sh.Shards {
 		return nil, fmt.Errorf("wire: ship for shard %d of %d", sh.Part.Part, sh.Shards)
 	}
-	return sh, nil
+	h := holdShard(sh)
+	if h.err != nil {
+		return nil, h.err
+	}
+	return h, nil
 }
 
 // checkShard verifies that a coordinator's view of the fleet slot — its
@@ -234,115 +310,145 @@ func checkShard(held *ResidentShard, fingerprint uint64, shard, shards int, what
 	return nil
 }
 
-// attachSession builds a job session over the shard the connection serves.
-// Scoped attaches carry the coordinator's per-query roles for just the
-// closure vertices: everything outside the entries keeps a zero scope mask,
-// which the partition's scope machinery skips entirely. Unscoped attaches
-// reuse the roles baked into the shard (copied, so a session can never
-// mutate the shared shard columns).
-func attachSession(conn *Conn, m *Msg, shard *ResidentShard) (*session, error) {
-	if shard == nil {
-		return nil, errors.New("wire: attach before ship on a non-resident worker")
+// newSession allocates a connection's job state over a held shard: the
+// per-local columns and the streaming buffers' steady-state capacity —
+// the outgoing chunk builder, a pool of foreign chunk buffers and the
+// connection's frame scratch. Later attaches reuse all of it.
+func newSession(conn *Conn, shard *heldShard) (*session, error) {
+	if shard.err != nil {
+		return nil, shard.err
 	}
-	a := &m.Attach
-	if err := checkShard(shard, a.Fingerprint, int(a.Shard), int(a.Shards), "attach"); err != nil {
-		return nil, err
-	}
-	cfg, err := m.Job.Config()
-	if err != nil {
-		return nil, err
-	}
-	p := &shard.Part
-	part, err := core.NewDistPartition(cfg, p.NumVertices, p.Locals, p.Deg, p.EdgeSrc, p.EdgeDst)
-	if err != nil {
-		return nil, err
-	}
-	n := len(p.Locals)
-	isMaster := make([]bool, n)
-	hasRemote := make([]bool, n)
-	if a.Scoped {
-		scope := make([]uint8, n)
-		for _, e := range a.Entries {
-			li, ok := part.LocalIndex(e.V)
-			if !ok {
-				return nil, fmt.Errorf("wire: attach scope entry for vertex %d, which is not local to shard %d", e.V, p.Part)
-			}
-			scope[li] = e.Mask
-			isMaster[li] = e.Role&RoleMaster != 0
-			hasRemote[li] = e.Role&RoleRemote != 0
-		}
-		if err := part.SetScope(scope); err != nil {
-			return nil, err
-		}
-	} else {
-		copy(isMaster, p.IsMaster)
-		copy(hasRemote, p.HasRemote)
-	}
+	n := len(shard.Part.Locals)
 	s := &session{
 		conn:      conn,
-		partIdx:   p.Part,
-		part:      part,
-		isMaster:  isMaster,
-		hasRemote: hasRemote,
-		regather:  part.CanGatherVertex(),
+		shard:     shard,
+		part:      shard.topo.NewPartition(),
+		ownMaster: make([]bool, n),
+		ownRemote: make([]bool, n),
+		applied:   make([]bool, n),
+		regather:  shard.topo.CanGatherVertex(),
 	}
-	s.prewarm()
+	if !s.regather {
+		s.selfOff = make([]int64, n)
+		s.selfEnd = make([]int64, n)
+	}
+	chunk := streamChunkBytes + streamChunkBytes/4
+	s.sendBB.Reset()
+	s.sendBB.Grow(chunk)
+	const prewarmChunks = 24
+	s.chunkBufs = make([][]byte, 0, prewarmChunks)
+	for range prewarmChunks {
+		s.chunkBufs = append(s.chunkBufs, make([]byte, 0, chunk))
+	}
+	s.conn.rdBuf = slices.Grow(s.conn.rdBuf, chunk)
+	s.conn.rawBuf = slices.Grow(s.conn.rawBuf, chunk)
+	s.conn.zwBuf.Grow(chunk)
 	return s, nil
 }
 
-// prewarm pays for the streaming buffers' steady-state capacity during the
-// attach handshake, before the coordinator starts timing the supersteps:
-// the outgoing chunk builder, one foreign ref per replicated master (each
-// remote mirror partition contributes at most one record per step), a pool
-// of foreign chunk buffers, the connection's frame scratch, and the collect
-// round's result storage (its size is bounded by K predictions per master).
-// The pool still grows lazily past the prewarmed count on partitions with
-// heavier exchanges.
-func (s *session) prewarm() {
-	s.sendBB.Reset()
-	s.sendBB.Grow(streamChunkBytes + streamChunkBytes/4)
-	nMasters, nR := 0, 0
-	for li, m := range s.isMaster {
-		if !m {
-			continue
+// attach starts a job on the session. Scoped attaches carry the
+// coordinator's per-query roles for just the closure vertices: everything
+// outside the entries keeps a zero scope mask, which the partition's scoped
+// gathers never visit. Unscoped attaches use the roles baked into the
+// shard.
+func (s *session) attach(m *Msg) error {
+	s.attached = false
+	a := &m.Attach
+	if err := checkShard(s.shard.ResidentShard, a.Fingerprint, int(a.Shard), int(a.Shards), "attach"); err != nil {
+		return err
+	}
+	cfg, err := m.Job.Config()
+	if err != nil {
+		return err
+	}
+	if err := s.part.Reset(cfg, a.Scoped); err != nil {
+		return err
+	}
+	for _, li := range s.listed {
+		s.ownMaster[li], s.ownRemote[li] = false, false
+	}
+	s.listed = s.listed[:0]
+	s.busyNS.Store(0)
+	if !a.Scoped {
+		p := &s.shard.Part
+		s.isMaster, s.hasRemote, s.masters = p.IsMaster, p.HasRemote, s.shard.masters
+	} else {
+		if err := s.attachScope(a.Entries); err != nil {
+			return err
 		}
-		nMasters++
+	}
+	s.prewarm()
+	s.attached = true
+	return nil
+}
+
+// attachScope installs a scoped job's entries: scope masks into the
+// partition, roles into the session's own columns, and the ascending
+// master list.
+func (s *session) attachScope(entries []ScopeEntry) error {
+	s.isMaster, s.hasRemote = s.ownMaster, s.ownRemote
+	topo := s.part.Topology()
+	sorted := true
+	for _, e := range entries {
+		li, ok := topo.LocalIndex(e.V)
+		if !ok {
+			return fmt.Errorf("wire: attach scope entry for vertex %d, which is not local to shard %d", e.V, s.shard.Part.Part)
+		}
+		if err := s.part.SetScope(li, e.Mask); err != nil {
+			return err
+		}
+		if n := len(s.listed); n > 0 && s.listed[n-1] >= li {
+			sorted = false
+		}
+		s.listed = append(s.listed, li)
+		s.ownMaster[li] = e.Role&RoleMaster != 0
+		s.ownRemote[li] = e.Role&RoleRemote != 0
+	}
+	if !sorted {
+		slices.Sort(s.listed)
+		s.listed = slices.Compact(s.listed)
+	}
+	ms := s.scopedMasters[:0]
+	for _, li := range s.listed {
+		if s.ownMaster[li] {
+			ms = append(ms, li)
+		}
+	}
+	s.scopedMasters, s.masters = ms, ms
+	return nil
+}
+
+// prewarm sizes the job-dependent buffers during the attach handshake,
+// before the coordinator starts timing the supersteps: one foreign ref per
+// replicated master (each remote mirror partition contributes at most one
+// record per step), and the collect round's result storage and encode
+// buffer (its size is bounded by K predictions per master). Buffers only
+// grow; a job smaller than an earlier one allocates nothing.
+func (s *session) prewarm() {
+	nR := 0
+	for _, li := range s.masters {
 		if s.hasRemote[li] {
 			nR++
 		}
 	}
-	s.frefs = make([]recRef, 0, 2*nR)
-	const prewarmChunks = 24
-	s.chunkBufs = make([][]byte, 0, prewarmChunks)
-	for range prewarmChunks {
-		s.chunkBufs = append(s.chunkBufs, make([]byte, 0, streamChunkBytes+streamChunkBytes/4))
-	}
-	s.collectPreds = make([]VertexPreds, 0, nMasters)
+	s.frefs = slices.Grow(s.frefs[:0], 2*nR)
+	s.collectPreds = slices.Grow(s.collectPreds[:0], len(s.masters))
 	const predictionBytes = 12 // u32 vertex + f64 score
-	resultBound := 64 + nMasters*(8+s.part.Config().K*predictionBytes)
-	s.conn.encBuf = slices.Grow(s.conn.encBuf, resultBound)
-	chunk := streamChunkBytes + streamChunkBytes/4
-	s.conn.rdBuf = slices.Grow(s.conn.rdBuf, chunk)
-	s.conn.rawBuf = slices.Grow(s.conn.rawBuf, chunk)
-	s.conn.zwBuf.Grow(chunk)
+	resultBound := 64 + len(s.masters)*(8+s.part.Config().K*predictionBytes)
+	s.conn.encBuf = slices.Grow(s.conn.encBuf[:0], resultBound)
 }
 
 func (s *session) addBusy(d time.Duration) { s.busyNS.Add(int64(d)) }
 
-// resetStep readies the reusable buffers for one superstep.
+// resetStep readies the reusable buffers for one superstep. Only masters
+// apply, so only their per-local slots need clearing.
 func (s *session) resetStep() {
-	n := len(s.part.Locals())
-	if len(s.applied) != n {
-		s.applied = make([]bool, n)
+	for _, li := range s.masters {
+		s.applied[li] = false
 	}
-	clear(s.applied)
 	if !s.regather {
-		if len(s.selfOff) != n {
-			s.selfOff = make([]int64, n)
-			s.selfEnd = make([]int64, n)
-		}
-		for i := range s.selfOff {
-			s.selfOff[i] = -1
+		for _, li := range s.masters {
+			s.selfOff[li] = -1
 		}
 		s.selfBuf = s.selfBuf[:0]
 	}
@@ -418,11 +524,11 @@ func (s *session) runStep(step core.DistStep, final bool) error {
 		}
 		t0 := time.Now()
 		err = ForEachStateRecord(f.Payload, func(v graph.VertexID, rec []byte) error {
-			d, ok := s.part.MutableState(v)
+			li, ok := s.part.Topology().LocalIndex(v)
 			if !ok {
 				return fmt.Errorf("wire: refresh for vertex %d, which is not local", v)
 			}
-			got, err := DecodeStateRecordInto(rec, d)
+			got, err := DecodeStateRecordInto(rec, s.part.MutableState(li))
 			if err != nil {
 				return err
 			}
@@ -464,7 +570,7 @@ func (s *session) gatherAndSend(step core.DistStep) error {
 				// payload is still hot scratch.
 				s.applied[li] = true
 				s.applyOne[0] = *dp
-				return s.part.Apply(step, dp.V, s.applyOne[:1])
+				return s.part.Apply(step, li, s.applyOne[:1])
 			}
 			if s.regather {
 				// applyMasters recomputes this partial on demand — no copy,
@@ -520,11 +626,11 @@ func (s *session) bufferForeign(payload []byte) error {
 		if err != nil {
 			return err
 		}
-		li, ok := s.part.LocalIndex(v)
+		li, ok := s.part.Topology().LocalIndex(v)
 		if !ok || !s.isMaster[li] {
 			return fmt.Errorf("wire: routed partial for vertex %d, which is not mastered here", v)
 		}
-		s.frefs = append(s.frefs, recRef{li: int32(li), chunk: ci, off: int32(off), end: int32(end)})
+		s.frefs = append(s.frefs, recRef{li: li, chunk: ci, off: int32(off), end: int32(end)})
 		off = end
 	}
 	if off != len(buf) {
@@ -538,28 +644,28 @@ func (s *session) bufferForeign(payload []byte) error {
 // still runs and clears the step's output field, exactly like the serial
 // engine's empty gather.
 func (s *session) applyMasters(step core.DistStep) error {
-	sort.Slice(s.frefs, func(i, j int) bool { return s.frefs[i].li < s.frefs[j].li })
+	slices.SortFunc(s.frefs, func(a, b recRef) int { return cmp.Compare(a.li, b.li) })
 	fi := 0
 	var rg core.DistPartial
-	for li, v := range s.part.Locals() {
+	locals := s.part.Topology().Locals()
+	for _, li := range s.masters {
 		start := fi
-		for fi < len(s.frefs) && s.frefs[fi].li == int32(li) {
+		// bufferForeign only accepts refs to masters, and both lists
+		// ascend, so the refs of li are the run starting at fi.
+		for fi < len(s.frefs) && s.frefs[fi].li == li {
 			fi++
-		}
-		if !s.isMaster[li] {
-			continue // bufferForeign already rejected refs to non-masters
 		}
 		if s.applied[li] {
 			continue
 		}
 		sc := &s.applySc
-		sc.V = v
+		sc.V = locals[li]
 		sc.Nbrs = sc.Nbrs[:0]
 		sc.Sims = sc.Sims[:0]
 		sc.Cands = sc.Cands[:0]
 		n := 0
 		if s.regather {
-			ok, err := s.part.GatherVertex(step, int32(li), &rg)
+			ok, err := s.part.GatherVertex(step, li, &rg)
 			if err != nil {
 				return err
 			}
@@ -586,7 +692,7 @@ func (s *session) applyMasters(step core.DistStep) error {
 			s.applyOne[0] = *sc
 			parts = s.applyOne[:1]
 		}
-		if err := s.part.Apply(step, v, parts); err != nil {
+		if err := s.part.Apply(step, li, parts); err != nil {
 			return err
 		}
 	}
@@ -599,12 +705,12 @@ func (s *session) sendRefresh(step core.DistStep) error {
 	t0 := time.Now()
 	bb := &s.sendBB
 	bb.Reset()
-	for li, v := range s.part.Locals() {
-		if !s.isMaster[li] || !s.hasRemote[li] {
+	locals := s.part.Topology().Locals()
+	for _, li := range s.masters {
+		if !s.hasRemote[li] {
 			continue
 		}
-		d, _ := s.part.State(v)
-		bb.AppendState(v, &d)
+		bb.AppendState(locals[li], s.part.State(li))
 		if bb.Len() >= streamChunkBytes {
 			s.addBusy(time.Since(t0))
 			if err := s.conn.SendRaw(KindRefresh, step, false, bb.Payload()); err != nil {
@@ -619,29 +725,28 @@ func (s *session) sendRefresh(step core.DistStep) error {
 }
 
 // collect assembles the partition's master predictions and cost report.
-func (s *session) collect(m0 *runtime.MemStats) WorkerResult {
+// The allocation figures cover the job's window since a0.
+func (s *session) collect(a0 allocs.Sample) WorkerResult {
+	topo := s.part.Topology()
 	res := WorkerResult{
-		Part: s.partIdx,
+		Part: s.shard.Part.Part,
 		Stats: WorkerStats{
-			Verts:       len(s.part.Locals()),
-			Edges:       s.part.NumEdges(),
+			Verts:       len(topo.Locals()),
+			Edges:       topo.NumEdges(),
 			BusySeconds: time.Duration(s.busyNS.Load()).Seconds(),
 		},
 	}
-	for li, v := range s.part.Locals() {
-		if !s.isMaster[li] {
-			continue
-		}
-		d, _ := s.part.State(v)
-		if len(d.Pred) > 0 {
-			s.collectPreds = append(s.collectPreds, VertexPreds{V: v, Preds: d.Pred})
+	preds := s.collectPreds[:0]
+	for _, li := range s.masters {
+		if d := s.part.State(li); len(d.Pred) > 0 {
+			preds = append(preds, VertexPreds{V: topo.Locals()[li], Preds: d.Pred})
 		}
 	}
-	res.Preds = s.collectPreds
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-	res.Stats.AllocBytes = int64(m1.TotalAlloc - m0.TotalAlloc)
-	res.Stats.AllocObjects = int64(m1.Mallocs - m0.Mallocs)
-	res.Stats.HeapBytes = int64(m1.HeapAlloc)
+	s.collectPreds = preds
+	res.Preds = preds
+	a1 := allocs.Read()
+	res.Stats.AllocBytes = int64(a1.Bytes - a0.Bytes)
+	res.Stats.AllocObjects = int64(a1.Objects - a0.Objects)
+	res.Stats.HeapBytes = int64(a1.Heap)
 	return res
 }
